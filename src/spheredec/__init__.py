@@ -8,92 +8,33 @@ imaginary rails.  A seeded Monte Carlo harness sweeps BER/SER and counted
 floating-point cost against SNR.
 """
 
-from .counters import OpCounter, counted_add, counted_div, counted_mul, snapshot
-from .detectors import (
-    DetectionResult,
-    KBestSchedule,
-    ml_exhaustive,
-    recompute_weight,
-    sd_conventional,
-    sd_proposed,
-)
+from .detectors import ml_exhaustive, sd_conventional, sd_proposed
 from .lattice import (
-    LatticeProblem,
     RadiusPolicy,
     Representation,
     build_problem,
     interleave,
-    reorder_received,
     stack_real,
     to_pair_order,
-    to_representation_order,
 )
-from .linalg import DegenerateChannelError, QrFactors, apply_qt, gram_schmidt_qr, mat_mul
-from .modem import (
-    Constellation,
-    bits_to_symbols,
-    complex_to_rails,
-    make_constellation,
-    quantize_rail,
-    rails_to_complex,
-    symbols_to_bits,
-)
-from .sim import (
-    ChannelInstance,
-    SimConfig,
-    SweepRecord,
-    TrialResult,
-    binomial_ci,
-    draw_channel,
-    run_sweep,
-    run_trial,
-    sigma_for_snr,
-    trial_rng,
-)
+from .linalg import gram_schmidt_qr
+from .modem import make_constellation
+from .sim import SimConfig, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelInstance",
-    "Constellation",
-    "DegenerateChannelError",
-    "DetectionResult",
-    "KBestSchedule",
-    "LatticeProblem",
-    "OpCounter",
-    "QrFactors",
     "RadiusPolicy",
     "Representation",
     "SimConfig",
-    "SweepRecord",
-    "TrialResult",
-    "apply_qt",
-    "binomial_ci",
-    "bits_to_symbols",
     "build_problem",
-    "complex_to_rails",
-    "counted_add",
-    "counted_div",
-    "counted_mul",
-    "draw_channel",
     "gram_schmidt_qr",
     "interleave",
     "make_constellation",
-    "mat_mul",
     "ml_exhaustive",
-    "quantize_rail",
-    "rails_to_complex",
-    "recompute_weight",
-    "reorder_received",
     "run_sweep",
-    "run_trial",
     "sd_conventional",
     "sd_proposed",
-    "sigma_for_snr",
-    "snapshot",
     "stack_real",
-    "symbols_to_bits",
     "to_pair_order",
-    "to_representation_order",
-    "trial_rng",
 ]

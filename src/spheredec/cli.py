@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .detectors import ML_CANDIDATE_GUARD
 from .modem import make_constellation
-from .sim import DETECTOR_NAMES, SimConfig, run_sweep
+from .sim import DETECTOR_NAMES, SimConfig, run_sweep, workers_from_env
 
 _MOD_FLAGS = {"16qam": 16, "64qam": 64}
 
@@ -96,17 +96,21 @@ def parse_args(argv):
     if ns.trials < 1:
         parser.error("--trials must be at least 1")
 
-    cfg = SimConfig(
-        n_antennas=ns.n,
-        mod_order=order,
-        detectors=detectors,
-        snr_start_db=start,
-        snr_stop_db=stop,
-        snr_step_db=step,
-        trials_per_point=ns.trials,
-        seed=ns.seed,
-        radius_dimension=ns.radius_dim,
-    )
+    try:
+        workers_from_env()
+        cfg = SimConfig(
+            n_antennas=ns.n,
+            mod_order=order,
+            detectors=detectors,
+            snr_start_db=start,
+            snr_stop_db=stop,
+            snr_step_db=step,
+            trials_per_point=ns.trials,
+            seed=ns.seed,
+            radius_dimension=ns.radius_dim,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     return CliArgs(config=cfg, out_path=ns.out, format=ns.format,
                    verbosity=ns.verbosity)
 

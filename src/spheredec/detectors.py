@@ -2,10 +2,17 @@
 reduced-complexity decoder for the interleaved lattice representation.
 
 All detectors minimize ||y_hat - R x||^2 over rail-valued vectors x and
-return the minimizer together with deterministic operation tallies.  The
-counting conventions (one FLOP per executed real add/sub/mul/div in the
-detection phase, comparisons and quantizations tallied separately, QR
-excluded) are described in :mod:`spheredec.counters`.
+return the minimizer together with deterministic operation tallies on the
+:class:`DetectionResult`.
+
+Counting conventions: one FLOP is one real addition/subtraction,
+multiplication or division executed during the detection phase.
+Comparisons (radius tests, the rail quantizer, best-leaf updates) are
+tallied separately and excluded from ``flops``.  QR preprocessing is not
+counted here; it is reported in the separate ``preproc_flops`` field of the
+lattice problem, so the two cost brackets can be merged or kept split
+downstream.  Each detection call keeps its own tallies, so identical
+(seed, config) pairs reproduce identical counts on any platform.
 
 Search conventions shared by the tree detectors:
 
@@ -28,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import OpCounter
 from .lattice import LatticeProblem, RadiusPolicy, Representation
 from .modem import Constellation, quantize_rail
 
@@ -49,14 +55,23 @@ class DetectionResult:
     ``x_hat`` holds 2N rail levels in the problem representation's symbol
     order; ``weight`` is the canonical ||y_hat - R x_hat||^2; ``restarts``
     counts radius-growth reruns (the final unconstrained fallback pass
-    included).
+    included).  ``adds``, ``mults``, ``divs`` and ``comparisons`` are the
+    executed-operation tallies of the module's counting convention.
     """
 
     x_hat: np.ndarray
     weight: float
     nodes_visited: int
-    flops: int
     restarts: int
+    adds: int
+    mults: int
+    divs: int
+    comparisons: int
+
+    @property
+    def flops(self):
+        """Counted FLOPs: adds + mults + divs (comparisons excluded)."""
+        return self.adds + self.mults + self.divs
 
 
 class KBestSchedule:
@@ -114,13 +129,15 @@ def recompute_weight(p: LatticeProblem, x) -> float:
 
 
 def _check_weight(accumulated, canonical):
-    assert abs(accumulated - canonical) <= _WEIGHT_CONSISTENCY * (1.0 + canonical), (
-        f"accumulated weight {accumulated!r} disagrees with canonical "
-        f"{canonical!r}"
-    )
+    # An explicit raise, not an assert, so the check also runs under -O.
+    if not abs(accumulated - canonical) <= _WEIGHT_CONSISTENCY * (1.0 + canonical):
+        raise RuntimeError(
+            f"accumulated weight {accumulated!r} disagrees with canonical "
+            f"{canonical!r}"
+        )
 
 
-def ml_exhaustive(p: LatticeProblem, c: Constellation, counter: OpCounter | None = None):
+def ml_exhaustive(p: LatticeProblem, c: Constellation):
     """Globally minimal weight by exhaustive enumeration of the rail set.
 
     Candidates are scanned in lexicographic detection order
@@ -129,8 +146,6 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation, counter: OpCounter | None
     evaluating every candidate's weight row by row, the node tally the
     number of candidates.  Rejects search spaces above ``ML_CANDIDATE_GUARD``.
     """
-    if counter is None:
-        counter = OpCounter()
     m = 2 * p.n
     total = c.mu ** m
     if total > ML_CANDIDATE_GUARD:
@@ -163,24 +178,22 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation, counter: OpCounter | None
     x_hat = np.array([c.rail[digits[m - 1 - j]] for j in range(m)], dtype=int)
 
     per_cand = m * (m + 1) // 2 + m  # sum of (terms + 1) over all rows
-    counter.mults += total * per_cand
-    counter.adds += total * per_cand
-    counter.comparisons += total
-    counter.nodes += total
     weight = recompute_weight(p, x_hat)
     _check_weight(best_w, weight)
     return DetectionResult(
         x_hat=x_hat,
         weight=weight,
         nodes_visited=total,
-        flops=total * 2 * per_cand,
         restarts=0,
+        adds=total * per_cand,
+        mults=total * per_cand,
+        divs=0,
+        comparisons=total,
     )
 
 
 def sd_conventional(p: LatticeProblem, c: Constellation,
-                    policy: RadiusPolicy | None = None,
-                    counter: OpCounter | None = None):
+                    policy: RadiusPolicy | None = None):
     """Depth-first sphere decoder on the stacked representation.
 
     Classic depth-first tree search: starting at level 2N, each node's
@@ -193,8 +206,6 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
     """
     if p.representation is not Representation.STACKED:
         raise ValueError("sd_conventional requires the stacked representation")
-    if counter is None:
-        counter = OpCounter()
     if policy is None:
         policy = RadiusPolicy(initial_sq=p.radius_sq)
 
@@ -205,15 +216,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
     xv = [0.0] * m
     nodes_at = [0] * m  # node visits per level index, for the flop tally
 
-    best_x = None
-    restarts = 0
-    for attempt in range(policy.max_restarts + 2):
-        if attempt > policy.max_restarts:
-            d2 = math.inf
-        else:
-            d2 = policy.initial_sq * policy.growth ** attempt
-        restarts = attempt
-
+    for restarts, d2 in policy.radii():
         best_w = math.inf
         best_x = None
 
@@ -246,10 +249,6 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
 
     visited = sum(nodes_at)
     add_total = sum(cnt * (m - j + 1) for j, cnt in enumerate(nodes_at))
-    counter.nodes += visited
-    counter.comparisons += visited  # one radius test per node
-    counter.adds += add_total
-    counter.mults += add_total
 
     x_hat = np.array([int(v) for v in best_x], dtype=int)
     weight = recompute_weight(p, x_hat)
@@ -258,15 +257,17 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
         x_hat=x_hat,
         weight=weight,
         nodes_visited=visited,
-        flops=2 * add_total,
         restarts=restarts,
+        adds=add_total,
+        mults=add_total,
+        divs=0,
+        comparisons=visited,  # one radius test per node
     )
 
 
 def sd_proposed(p: LatticeProblem, c: Constellation,
                 policy: RadiusPolicy | None = None,
-                schedule: KBestSchedule | None = None,
-                counter: OpCounter | None = None):
+                schedule: KBestSchedule | None = None):
     """Reduced-complexity decoder for the interleaved representation.
 
     Relies on the exact zeros r[l-1, l] (even l) of the interleaved R, which
@@ -289,8 +290,6 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
     """
     if p.representation is not Representation.INTERLEAVED:
         raise ValueError("sd_proposed requires the interleaved representation")
-    if counter is None:
-        counter = OpCounter()
     if policy is None:
         policy = RadiusPolicy(initial_sq=p.radius_sq)
     if schedule is None:
@@ -306,15 +305,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
 
     adds = mults = divs = cmps = nodes = 0
     best = None
-    restarts = 0
 
-    for attempt in range(policy.max_restarts + 2):
-        if attempt > policy.max_restarts:
-            d2 = math.inf
-        else:
-            d2 = policy.initial_sq * policy.growth ** attempt
-        restarts = attempt
-
+    for restarts, d2 in policy.radii():
         # Step 1: the two top levels are independent (r[m-2, m-1] == 0).
         top = []
         for j in (m - 1, m - 2):
@@ -426,12 +418,6 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
             best = min(leaves)
             break
 
-    counter.adds += adds
-    counter.mults += mults
-    counter.divs += divs
-    counter.comparisons += cmps
-    counter.nodes += nodes
-
     w_acc, values = best
     # detection-order tuple -> symbol index order
     x_hat = np.array([int(values[m - 1 - j]) for j in range(m)], dtype=int)
@@ -441,8 +427,11 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
         x_hat=x_hat,
         weight=weight,
         nodes_visited=nodes,
-        flops=adds + mults + divs,
         restarts=restarts,
+        adds=adds,
+        mults=mults,
+        divs=divs,
+        comparisons=cmps,
     )
 
 

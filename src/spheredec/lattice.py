@@ -18,6 +18,7 @@ tree-search code: level l corresponds to row/column l-1 of R.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,14 @@ class RadiusPolicy:
         dim = 2 * n if dimension == "2n" else n
         return cls(initial_sq=2.0 * sigma_sq * dim,
                    growth=growth, max_restarts=max_restarts)
+
+    def radii(self):
+        """Yield ``(attempt, d2)`` for each search pass: the initial squared
+        radius grown ``attempt`` times for attempt 0..max_restarts, then one
+        unconstrained pass at ``math.inf``."""
+        for attempt in range(self.max_restarts + 1):
+            yield attempt, self.initial_sq * self.growth ** attempt
+        yield self.max_restarts + 1, math.inf
 
 
 @dataclass(frozen=True)

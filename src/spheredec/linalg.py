@@ -44,17 +44,6 @@ class QrFactors:
     zero_structure_max: float | None = None
 
 
-def mat_mul(a, b):
-    """Matrix product a @ b with an explicit shape check."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("mat_mul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def gram_schmidt_qr(h, pair_zeros=False):
     """Classical Gram-Schmidt QR of a square real matrix.
 

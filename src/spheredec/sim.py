@@ -2,8 +2,9 @@
 
 Per trial: draw bits, Gray-map them onto rail levels, push the complex
 symbol vector through an i.i.d. Rayleigh flat-fading channel with AWGN,
-build the lattice problem each detector needs, detect, and score bit and
-symbol errors against the ground truth.
+build the lattice problem of each representation the detectors need (once
+each), run every detector, and score bit and symbol errors against the
+ground truth.
 
 SNR convention (the constellation is unnormalized): SNR = N * E_s / sigma^2,
 i.e. average received signal energy per receive antenna over total complex
@@ -16,16 +17,23 @@ reruns, independent of which detectors run, and identical under parallel
 and sequential execution.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detectors import KBestSchedule, ml_exhaustive, recompute_weight, sd_conventional, sd_proposed
+from .detectors import KBestSchedule, ml_exhaustive, sd_conventional, sd_proposed
 from .lattice import RadiusPolicy, Representation, build_problem, to_pair_order
 from .linalg import DegenerateChannelError
-from .modem import bits_to_symbols, make_constellation, rails_to_complex, symbols_to_bits
+from .modem import (
+    Constellation,
+    bits_to_symbols,
+    make_constellation,
+    rails_to_complex,
+    symbols_to_bits,
+)
 
 DETECTOR_NAMES = ("ml", "sd-conv", "sd-new")
 
@@ -37,6 +45,10 @@ _DETECTOR_REPRESENTATION = {
 
 # Redraw cap for numerically rank-deficient channel draws (measure zero).
 _MAX_REDRAWS = 100
+
+# Longest SNR grid a sweep accepts; bounds the grid loop, which a step too
+# small to move the start value would otherwise never leave.
+MAX_SNR_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -52,12 +64,20 @@ class SimConfig:
     trials_per_point: int = 20000
     seed: int = 42
     radius_dimension: str = "2n"
-    radius_growth: float = 2.0
-    radius_max_restarts: int = 20
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in
+                   (self.snr_start_db, self.snr_stop_db, self.snr_step_db)):
+            raise ValueError("SNR start, stop and step must be finite")
         if self.snr_step_db <= 0:
             raise ValueError("snr_step_db must be positive")
+        n_points = len(self.snr_points())
+        if n_points == 0:
+            raise ValueError("snr_stop_db must not precede snr_start_db")
+        if n_points > MAX_SNR_POINTS:
+            raise ValueError(f"the SNR grid has more than {MAX_SNR_POINTS} points")
+        if not 0 <= self.seed < 2**128:  # the Philox key is 128-bit
+            raise ValueError("seed must be in [0, 2**128)")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be at least 1")
         if not self.detectors:
@@ -65,11 +85,13 @@ class SimConfig:
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ValueError(f"unknown detector {name!r}")
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ValueError("each detector may be listed only once")
 
     def snr_points(self):
         pts = []
         s = self.snr_start_db
-        while s <= self.snr_stop_db + 1e-9:
+        while s <= self.snr_stop_db + 1e-9 and len(pts) <= MAX_SNR_POINTS:
             pts.append(round(s, 9))
             s += self.snr_step_db
         return tuple(pts)
@@ -153,79 +175,88 @@ def draw_instance(rng, cfg, sigma_sq):
                            bits=bits, x_pair=x_pair)
 
 
-def _policy_for(cfg, sigma_sq):
-    return RadiusPolicy.for_noise(
-        sigma_sq, cfg.n_antennas,
-        dimension=cfg.radius_dimension,
-        growth=cfg.radius_growth,
-        max_restarts=cfg.radius_max_restarts,
-    )
+@dataclass(frozen=True)
+class _Point:
+    """The objects that every trial at one SNR point shares."""
+
+    c: Constellation
+    sigma_sq: float
+    policy: RadiusPolicy
+    schedule: KBestSchedule
 
 
-def _detect(inst, cfg, detector, counter=None):
-    c = make_constellation(cfg.mod_order)
-    rep = _DETECTOR_REPRESENTATION[detector]
-    policy = _policy_for(cfg, inst.sigma_sq)
-    problem = build_problem(inst.h, inst.y, inst.sigma_sq, rep, policy)
-    if detector == "ml":
-        result = ml_exhaustive(problem, c, counter)
-    elif detector == "sd-conv":
-        result = sd_conventional(problem, c, policy, counter)
-    else:
-        result = sd_proposed(problem, c, policy, KBestSchedule.default(), counter)
-    assert abs(recompute_weight(problem, result.x_hat) - result.weight) <= \
-        1e-6 * (1.0 + result.weight)
-    return problem, result
-
-
-def run_trial(rng, cfg, detector, snr_db):
-    """One end-to-end trial for one detector.
-
-    The channel instance is a pure function of the rng stream, so calling
-    this once per detector with identically derived streams presents every
-    detector with the same trial.  Rank-deficient draws are redrawn (the
-    stream simply continues), capped at 100 per trial.
-    """
+def _point(cfg, snr_db):
     c = make_constellation(cfg.mod_order)
     sigma_sq = sigma_for_snr(snr_db, c, cfg.n_antennas)
+    policy = RadiusPolicy.for_noise(sigma_sq, cfg.n_antennas,
+                                    dimension=cfg.radius_dimension)
+    return _Point(c=c, sigma_sq=sigma_sq, policy=policy,
+                  schedule=KBestSchedule.default())
+
+
+def run_trial(rng, cfg, snr_db, point=None):
+    """One end-to-end trial: one channel use through every detector.
+
+    The instance is drawn once and the lattice problem of each
+    representation the detectors need is built once, so every detector sees
+    the same trial.  A draw that is rank deficient in a needed
+    representation is redrawn (the stream simply continues), capped at 100
+    per trial.  ``point`` holds the objects shared by all trials at
+    ``snr_db`` and is built here when omitted.  Returns one
+    :class:`TrialResult` per detector, in ``cfg.detectors`` order.
+    """
+    if point is None:
+        point = _point(cfg, snr_db)
+    c = point.c
+    needed = {_DETECTOR_REPRESENTATION[name] for name in cfg.detectors}
+    reps = [rep for rep in Representation if rep in needed]
     for _ in range(_MAX_REDRAWS):
-        inst = draw_instance(rng, cfg, sigma_sq)
+        inst = draw_instance(rng, cfg, point.sigma_sq)
         try:
-            problem, result = _detect(inst, cfg, detector)
+            problems = {rep: build_problem(inst.h, inst.y, inst.sigma_sq, rep, point.policy)
+                        for rep in reps}
         except DegenerateChannelError:
             continue
         break
     else:
         raise RuntimeError("exceeded the degenerate-channel redraw cap")
 
-    x_hat_pair = to_pair_order(result.x_hat, problem.representation)
-    bits_hat = symbols_to_bits(x_hat_pair, c)
-    bit_errors = int(np.sum(bits_hat != inst.bits))
-    true_pair = inst.x_pair
-    symbol_errors = int(np.sum(
-        (x_hat_pair[0::2] != true_pair[0::2]) | (x_hat_pair[1::2] != true_pair[1::2])
-    ))
-    return TrialResult(
-        detector=detector,
-        x_hat=result.x_hat,
-        weight=result.weight,
-        bit_errors=bit_errors,
-        symbol_errors=symbol_errors,
-        flops=result.flops,
-        preproc_flops=problem.preproc_flops,
-        nodes=result.nodes_visited,
-        restarts=result.restarts,
-    )
+    results = []
+    for name in cfg.detectors:
+        problem = problems[_DETECTOR_REPRESENTATION[name]]
+        if name == "ml":
+            result = ml_exhaustive(problem, c)
+        elif name == "sd-conv":
+            result = sd_conventional(problem, c, point.policy)
+        else:
+            result = sd_proposed(problem, c, point.policy, point.schedule)
+        x_hat_pair = to_pair_order(result.x_hat, problem.representation)
+        bits_hat = symbols_to_bits(x_hat_pair, c)
+        true_pair = inst.x_pair
+        results.append(TrialResult(
+            detector=name,
+            x_hat=result.x_hat,
+            weight=result.weight,
+            bit_errors=int(np.sum(bits_hat != inst.bits)),
+            symbol_errors=int(np.sum((x_hat_pair[0::2] != true_pair[0::2])
+                                     | (x_hat_pair[1::2] != true_pair[1::2]))),
+            flops=result.flops,
+            preproc_flops=problem.preproc_flops,
+            nodes=result.nodes_visited,
+            restarts=result.restarts,
+        ))
+    return tuple(results)
 
 
 def _trial_block(cfg, snr_index, snr_db, lo, hi):
-    """Integer aggregates over trials [lo, hi) for every detector."""
-    sums = {name: [0, 0, 0, 0, 0, 0] for name in cfg.detectors}
+    """Integer sums over trials [lo, hi) of one SNR point, one row per
+    detector: bit errors, symbol errors, FLOPs, preprocessing FLOPs, nodes
+    and restarts."""
+    point = _point(cfg, snr_db)
+    sums = [[0] * 6 for _ in cfg.detectors]
     for t in range(lo, hi):
-        for name in cfg.detectors:
-            rng = trial_rng(cfg.seed, snr_index, t)
-            rec = run_trial(rng, cfg, name, snr_db)
-            agg = sums[name]
+        results = run_trial(trial_rng(cfg.seed, snr_index, t), cfg, snr_db, point)
+        for agg, rec in zip(sums, results):
             agg[0] += rec.bit_errors
             agg[1] += rec.symbol_errors
             agg[2] += rec.flops
@@ -235,39 +266,58 @@ def _trial_block(cfg, snr_index, snr_db, lo, hi):
     return sums
 
 
+def workers_from_env():
+    """Worker count from ``LATTICE_SD_THREADS``; 1 when it is unset."""
+    text = os.environ.get("LATTICE_SD_THREADS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"LATTICE_SD_THREADS must be an integer >= 1, got {text!r}")
+    return workers
+
+
 def run_sweep(cfg, workers=None):
     """Run the full sweep and aggregate one SweepRecord per (SNR, detector).
 
-    ``workers`` > 1 splits each SNR point's trials across processes; the
-    derived per-trial streams and integer partial sums make the parallel
-    result identical to the sequential one.  Defaults to the
-    ``LATTICE_SD_THREADS`` environment variable, else 1.
+    Each SNR point's trials are split into ``workers`` blocks, and all
+    blocks of the sweep share one process pool; the derived per-trial
+    streams and integer partial sums make the parallel result identical to
+    the sequential one.  No pool is started when ``workers`` is 1 or a
+    point has fewer than two trials per worker.  ``workers`` defaults to
+    the ``LATTICE_SD_THREADS`` environment variable, else 1.
     """
     if workers is None:
-        workers = int(os.environ.get("LATTICE_SD_THREADS", "1"))
-    workers = max(1, workers)
+        workers = workers_from_env()
+    elif workers < 1:
+        raise ValueError("workers must be at least 1")
     c = make_constellation(cfg.mod_order)
     bits_per_trial = 2 * cfg.n_antennas * c.bits_per_rail
     trials = cfg.trials_per_point
+    points = cfg.snr_points()
+
+    blocks = workers if trials >= 2 * workers else 1
+    bounds = np.linspace(0, trials, blocks + 1).astype(int)
+    jobs = [(cfg, i, snr_db, int(lo), int(hi))
+            for i, snr_db in enumerate(points)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    if blocks == 1:
+        parts = map(_trial_block, *zip(*jobs))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_trial_block, *zip(*jobs)))
+
+    sums = [[[0] * 6 for _ in cfg.detectors] for _ in points]
+    for job, part in zip(jobs, parts):
+        for total, agg in zip(sums[job[1]], part):
+            for k in range(6):
+                total[k] += agg[k]
 
     records = []
-    for i, snr_db in enumerate(cfg.snr_points()):
-        if workers == 1 or trials < 2 * workers:
-            sums = _trial_block(cfg, i, snr_db, 0, trials)
-        else:
-            bounds = np.linspace(0, trials, workers + 1).astype(int)
-            jobs = [(cfg, i, snr_db, int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_trial_block_star, jobs))
-            sums = {name: [0] * 6 for name in cfg.detectors}
-            for part in parts:
-                for name, agg in part.items():
-                    for k in range(6):
-                        sums[name][k] += agg[k]
-
-        for name in cfg.detectors:
-            bit_err, sym_err, flops, preproc, nodes, _ = sums[name]
+    for snr_db, per_detector in zip(points, sums):
+        for name, (bit_err, sym_err, flops, preproc, nodes, _) in zip(cfg.detectors,
+                                                                      per_detector):
             records.append(SweepRecord(
                 snr_db=snr_db,
                 detector=name,
@@ -283,10 +333,6 @@ def run_sweep(cfg, workers=None):
                 seed=cfg.seed,
             ))
     return records
-
-
-def _trial_block_star(args):
-    return _trial_block(*args)
 
 
 def binomial_ci(errors, total, z=1.96):

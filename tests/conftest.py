@@ -1,12 +1,26 @@
-"""Shared fixtures: the heavy SNR sweeps used by several acceptance tests."""
+"""Shared fixtures: the heavy SNR sweeps used by several acceptance tests,
+and the environment for tests that run spheredec in a child interpreter."""
 
 import os
+from pathlib import Path
 
 import pytest
 
+import spheredec
 from spheredec.sim import SimConfig, run_sweep
 
 WORKERS = max(1, min(4, os.cpu_count() or 1))
+
+SRC = Path(spheredec.__file__).resolve().parents[1]
+
+
+def subprocess_env(**overrides):
+    """Environment of a child interpreter that imports this spheredec and
+    inherits no LATTICE_SD_THREADS."""
+    env = {k: v for k, v in os.environ.items() if k != "LATTICE_SD_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
 
 
 def _sweep(n, mod, start, stop, step, trials, seed):

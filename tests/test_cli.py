@@ -1,12 +1,16 @@
 """Tests for argument parsing and the CSV/JSON emitters."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from spheredec.cli import emit_results, main, parse_args, render_csv
 from spheredec.sim import SweepRecord
+
+from conftest import subprocess_env
 
 EXPECTED_HEADER = ("snr_db,detector,n,mod,ber,ser,mean_flops,mean_preproc_flops,"
                    "mean_nodes,trials,bit_errors,seed")
@@ -86,6 +90,24 @@ class TestParseArgs:
         for bad in ("5:15", "5:0:15", "15:2:5", "a:b:c"):
             with pytest.raises(SystemExit):
                 parse_args(["--snr", bad])
+
+    @pytest.mark.parametrize("args, env", [
+        (["--snr", "0:1:inf"], {}),
+        (["--snr", "nan:1:2"], {}),
+        (["--seed", "-1"], {}),
+        ([], {"LATTICE_SD_THREADS": "abc"}),
+        ([], {"LATTICE_SD_THREADS": "0"}),
+        (["--detector", "sd-conv", "--detector", "sd-conv"], {}),
+    ])
+    def test_bad_input_fails_fast(self, args, env):
+        # a child interpreter under -O, so a hang cannot stall the suite and
+        # no check may rest on an assert
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "spheredec", "--trials", "1", *args],
+            env=subprocess_env(**env), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("spheredec: error: ")
 
 
 class TestEmitResults:

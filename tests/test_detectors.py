@@ -1,11 +1,12 @@
 """Tests for the three detectors: oracle equivalence, counting, properties."""
 
 import itertools
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from spheredec.counters import OpCounter
 from spheredec.detectors import (
     DetectionResult,
     KBestSchedule,
@@ -26,6 +27,8 @@ from spheredec.lattice import (
     to_representation_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
+
+from conftest import subprocess_env
 
 
 def random_channel(rng, n):
@@ -104,11 +107,10 @@ class TestMlExhaustive:
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
         p = build_problem(h, y, 1.0, Representation.STACKED)
-        ctr = OpCounter()
-        res = ml_exhaustive(p, c, ctr)
+        res = ml_exhaustive(p, c)
         assert res.nodes_visited == 4 ** 4 == 256
-        assert ctr.nodes == 256
-        assert res.flops == ctr.flops() > 0
+        assert res.comparisons == 256
+        assert res.flops == res.adds + res.mults + res.divs > 0
 
     def test_capacity_guard(self):
         rng = np.random.default_rng(55)
@@ -174,13 +176,12 @@ class TestSdConventional:
         p = LatticeProblem(r=np.eye(2), y_hat=np.array([0.125, 0.25]),
                            radius_sq=1e9, representation=Representation.STACKED, n=1)
         c = make_constellation(16)
-        ctr = OpCounter()
-        res = sd_conventional(p, c, RadiusPolicy(initial_sq=1e9), ctr)
+        res = sd_conventional(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, 1]))
         assert res.weight == 1.328125
         assert res.nodes_visited == 16
-        assert (ctr.adds, ctr.mults, ctr.divs) == (44, 44, 0)
-        assert ctr.comparisons == 16
+        assert (res.adds, res.mults, res.divs) == (44, 44, 0)
+        assert res.comparisons == 16
         assert res.flops == 88
         assert res.restarts == 0
 
@@ -262,13 +263,12 @@ class TestSdProposed:
         p = LatticeProblem(r=np.eye(2), y_hat=np.array([0.125, 0.25]),
                            radius_sq=1e9, representation=Representation.INTERLEAVED, n=1)
         c = make_constellation(16)
-        ctr = OpCounter()
-        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9), counter=ctr)
+        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, 1]))
         assert res.weight == 1.328125
         assert res.nodes_visited == 8
-        assert (ctr.adds, ctr.mults, ctr.divs) == (24, 16, 0)
-        assert ctr.comparisons == 40
+        assert (res.adds, res.mults, res.divs) == (24, 16, 0)
+        assert res.comparisons == 40
         assert res.flops == 40
 
     def test_level_independence(self):
@@ -347,3 +347,11 @@ class TestRecomputeWeight:
         res = sd_proposed(p, c)
         assert res.weight == recompute_weight(p, res.x_hat)
         assert isinstance(res, DetectionResult)
+
+    def test_inconsistent_weight_raises_under_optimize(self):
+        # python -O strips asserts; the once-per-detection check must not be one
+        code = "from spheredec.detectors import _check_weight; _check_weight(1.0, 2.0)"
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "disagrees with canonical" in proc.stderr

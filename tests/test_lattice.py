@@ -130,6 +130,10 @@ class TestRadiusPolicy:
         with pytest.raises(ValueError):
             RadiusPolicy.for_noise(1.0, 2, dimension="3n")
 
+    def test_radii_grow_then_unconstrained(self):
+        pol = RadiusPolicy(initial_sq=0.75, growth=3.0, max_restarts=2)
+        assert list(pol.radii()) == [(0, 0.75), (1, 2.25), (2, 6.75), (3, float("inf"))]
+
 
 class TestBuildProblem:
     def setup_method(self):

@@ -8,7 +8,6 @@ from spheredec.linalg import (
     DegenerateChannelError,
     apply_qt,
     gram_schmidt_qr,
-    mat_mul,
     preprocessing_flops,
 )
 
@@ -23,31 +22,6 @@ def householder_qr_positive(h):
 
 def random_complex(rng, n):
     return np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-
-
-class TestMatMul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(mat_mul(np.eye(2), a), a)
-
-    def test_hand_example(self):
-        out = mat_mul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0], [6.0]]))
-        assert np.array_equal(out, np.array([[17.0], [39.0]]))
-
-    def test_matches_triple_loop(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4))
-        expected = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(4):
-                for k in range(4):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.allclose(mat_mul(a, b), expected, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            mat_mul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 class TestGramSchmidtQr:
@@ -157,7 +131,7 @@ class TestApplyQt:
         rng = np.random.default_rng(22)
         q = rng.standard_normal((5, 5))
         y = rng.standard_normal(5)
-        expected = mat_mul(q.T, y[:, None])[:, 0]
+        expected = q.T @ y
         assert np.allclose(apply_qt(q, y), expected, atol=1e-12)
 
     def test_shape_mismatch(self):

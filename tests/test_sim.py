@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness: channels, SNR, trials, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,26 +68,31 @@ class TestRunTrial:
     def test_noiseless_zero_errors(self):
         cfg = SimConfig(n_antennas=2, mod_order=16,
                         detectors=("ml", "sd-conv", "sd-new"), trials_per_point=1)
-        for det in cfg.detectors:
-            for t in range(20):
-                rec = run_trial(trial_rng(1, 0, t), cfg, det, snr_db=120.0)
+        for t in range(20):
+            recs = run_trial(trial_rng(1, 0, t), cfg, snr_db=120.0)
+            assert [rec.detector for rec in recs] == list(cfg.detectors)
+            for rec in recs:
                 assert rec.bit_errors == 0
                 assert rec.symbol_errors == 0
 
     def test_detectors_see_identical_trials(self):
         cfg = SimConfig(n_antennas=2, mod_order=16, detectors=("ml", "sd-conv"),
                         trials_per_point=1)
+        solo_cfg = replace(cfg, detectors=("sd-conv",))
         for t in range(50):
-            a = run_trial(trial_rng(2, 0, t), cfg, "ml", snr_db=10.0)
-            b = run_trial(trial_rng(2, 0, t), cfg, "sd-conv", snr_db=10.0)
+            a, b = run_trial(trial_rng(2, 0, t), cfg, snr_db=10.0)
             assert a.weight == b.weight
             assert np.array_equal(a.x_hat, b.x_hat)
             assert a.bit_errors == b.bit_errors
+            # the same stream shows the same trial whatever else runs
+            (solo,) = run_trial(trial_rng(2, 0, t), solo_cfg, snr_db=10.0)
+            assert solo.weight == b.weight
+            assert np.array_equal(solo.x_hat, b.x_hat)
 
     def test_fields_finite(self):
         cfg = SimConfig(n_antennas=2, mod_order=64, detectors=("sd-new",),
                         trials_per_point=1)
-        rec = run_trial(trial_rng(3, 0, 0), cfg, "sd-new", snr_db=5.0)
+        (rec,) = run_trial(trial_rng(3, 0, 0), cfg, snr_db=5.0)
         assert np.isfinite(rec.weight)
         assert rec.flops > 0 and rec.nodes > 0 and rec.preproc_flops > 0
         assert rec.restarts >= 0
@@ -167,6 +174,24 @@ class TestRunSweep:
             SimConfig(snr_step_db=0.0)
         with pytest.raises(ValueError):
             SimConfig(trials_per_point=0)
+        with pytest.raises(ValueError, match="once"):
+            SimConfig(detectors=("sd-conv", "sd-conv"))
+        for snr in ({"snr_stop_db": float("inf")}, {"snr_start_db": float("nan")},
+                    {"snr_step_db": float("nan")}):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(**snr)
+        with pytest.raises(ValueError, match="precede"):
+            SimConfig(snr_start_db=10.0, snr_stop_db=0.0)
+        with pytest.raises(ValueError, match="points"):
+            SimConfig(snr_start_db=0.0, snr_stop_db=20.0, snr_step_db=0.01)
+        with pytest.raises(ValueError, match="points"):
+            SimConfig(snr_start_db=1e20, snr_stop_db=1e20, snr_step_db=1.0)
+        for seed in (-1, 2**128):
+            with pytest.raises(ValueError, match="seed"):
+                SimConfig(seed=seed)
+        SimConfig(seed=2**128 - 1)
+        with pytest.raises(ValueError, match="workers"):
+            run_sweep(self._tiny_cfg(trials_per_point=1), workers=0)
 
 
 class TestBinomialCi:
