@@ -1,51 +1,13 @@
-"""Tests for the operation counters."""
+"""Tests for the operation-count convention carried by DetectionResult."""
 
-import pytest
+import numpy as np
 
-from spheredec.counters import OpCounter, counted_add, counted_div, counted_mul, snapshot
-
-
-def test_counted_add():
-    c = OpCounter()
-    assert counted_add(c, 1, 2) == 3
-    assert c.adds == 1 and c.mults == 0 and c.divs == 0
-
-
-def test_counted_mul():
-    c = OpCounter()
-    assert counted_mul(c, 3.0, 4.0) == 12.0
-    assert c.mults == 1
-
-
-def test_counted_div():
-    c = OpCounter()
-    assert counted_div(c, 9.0, 3.0) == 3.0
-    assert c.divs == 1
-
-
-def test_counted_div_by_zero():
-    c = OpCounter()
-    with pytest.raises(ZeroDivisionError):
-        counted_div(c, 1.0, 0.0)
-    assert c.divs == 0
+from spheredec.detectors import DetectionResult
 
 
 def test_flops_excludes_comparisons():
-    c = OpCounter(adds=2, mults=3, divs=1, comparisons=10, nodes=5)
-    assert c.flops() == 6
-
-
-def test_snapshot_empty():
-    c = OpCounter()
-    s = snapshot(c)
-    assert s == OpCounter()
-
-
-def test_snapshot_detached_and_idempotent():
-    c = OpCounter()
-    counted_add(c, 1, 1)
-    s1 = snapshot(c)
-    s2 = snapshot(s1)
-    assert s1 == s2
-    counted_add(c, 1, 1)
-    assert c.adds == 2 and s1.adds == 1
+    res = DetectionResult(
+        x_hat=np.zeros(4), weight=0.0, nodes_visited=5, restarts=0,
+        adds=2, mults=3, divs=1, comparisons=10,
+    )
+    assert res.flops == 6
