@@ -271,6 +271,36 @@ class TestSdProposed:
         assert res.comparisons == 40
         assert res.flops == 40
 
+    def test_counter_regression_middle_layer(self):
+        # Interleaved N=3, R = I6, one middle layer capped at 2, huge radius,
+        # mu = 4.  Everything survives the radius, so the counts follow from
+        # the survivor count entering each step.
+        # Top levels: 8 metrics (2 mults + 1 add + 1 comparison each), then
+        # 16 pair sums (1 add + 1 comparison each) -> S = 16 survivors.
+        # Middle layer (symbol 2, rows 3 and 2, t = 2 assigned columns):
+        # per survivor two interference sums (t-1 = 1 add, t = 2 mults
+        # each), 2 centering adds, 2*mu = 8 metrics (4*mu = 16 mults,
+        # 3*mu = 12 adds) and mu^2 = 16 pair sums (16 adds + 16
+        # comparisons): 32 adds, 20 mults, 8 nodes, 16 comparisons; x16.
+        # Leaf step (symbol 1, rows 1 and 0, 4 assigned columns): per
+        # surviving prefix and rail 4 mults + 3 adds of interference,
+        # 1 centering add, 1 div and 1 comparison (quantizer), 2 mults +
+        # 2 adds of metric, 1 node; plus 1 leaf comparison per prefix; x2.
+        # Totals: adds 8+16+512+24 = 560, mults 16+320+24 = 360, divs 4,
+        # nodes 8+128+4 = 140, comparisons 8+16+256+6 = 286.
+        p = LatticeProblem(r=np.eye(6),
+                           y_hat=np.array([0.125, -0.25, 2.5, -2.25, 0.75, -1.5]),
+                           radius_sq=1e9, representation=Representation.INTERLEAVED, n=3)
+        c = make_constellation(16)
+        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9),
+                          KBestSchedule({(3, 16): (2,)}))
+        assert np.array_equal(res.x_hat, np.array([1, -1, 3, -3, 1, -1]))
+        assert res.weight == 2.453125
+        assert res.nodes_visited == 140
+        assert (res.adds, res.mults, res.divs) == (560, 360, 4)
+        assert res.comparisons == 286
+        assert res.restarts == 0
+
     def test_level_independence(self):
         # with the forced zeros, the 1-D metric at an odd level l is
         # unaffected by the symbol chosen at level l+1 and vice versa

@@ -1,0 +1,112 @@
+"""Detectors against their oracles, on seeded trials and on generated
+tie-heavy problems.
+
+``sd_proposed`` must equal the exhaustive-enumeration reference in
+``reference_sd_proposed`` exactly: same decision, same weight, same
+restarts and same tallies.  ``sd_conventional`` must equal the ML oracle.
+The generated problems have dyadic entries, so every weight is computed
+exactly and equal weights are real ties; that exercises the
+``(weight, prefix)`` tie-break at the K-best cap boundary and runs the
+hot-loop monotonicity asserts on inputs no channel draw produces.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spheredec.detectors import KBestSchedule, ml_exhaustive, sd_conventional, sd_proposed
+from spheredec.lattice import LatticeProblem, RadiusPolicy, Representation, build_problem
+from spheredec.modem import make_constellation
+from spheredec.sim import SimConfig, draw_instance, sigma_for_snr, trial_rng
+
+import reference_sd_proposed
+
+# Reproducible, offline and bounded: no example database, a fixed seed.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+_SNR_DB = {16: (8.0, 24.0), 64: (14.0, 32.0)}  # low and high per order
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.x_hat, b.x_hat)
+    assert a.weight == b.weight
+    assert a.restarts == b.restarts
+    assert a.nodes_visited == b.nodes_visited
+    assert (a.adds, a.mults, a.divs, a.comparisons) == (b.adds, b.mults, b.divs, b.comparisons)
+
+
+def seeded_problems(n, order, snr_db, dimension, trials, policy=None):
+    cfg = SimConfig(n_antennas=n, mod_order=order, radius_dimension=dimension)
+    c = make_constellation(order)
+    sigma_sq = sigma_for_snr(snr_db, c, n)
+    if policy is None:
+        policy = RadiusPolicy.for_noise(sigma_sq, n, dimension=dimension)
+    for t in range(trials):
+        inst = draw_instance(trial_rng(7, n * 1000 + order, t), cfg, sigma_sq)
+        yield build_problem(inst.h, inst.y, sigma_sq, Representation.INTERLEAVED, policy), policy
+
+
+@st.composite
+def dyadic_problems(draw, max_n, representation):
+    """(problem, constellation, policy) with quarter-integer upper-triangular
+    R, positive diagonal, r[k, k+1] = 0 for even k, and half-integer y_hat."""
+    n = draw(st.integers(1, max_n))
+    m = 2 * n
+    r = np.zeros((m, m))
+    for i in range(m):
+        r[i, i] = draw(st.integers(1, 8)) / 4
+        for k in range(i + 1, m):
+            if not (i % 2 == 0 and k == i + 1):
+                r[i, k] = draw(st.integers(-8, 8)) / 4
+    y_hat = np.array(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))) / 2
+    radius_sq = draw(st.sampled_from([0.25, 1.0, 4.0, 16.0, 1e9]))
+    c = make_constellation(draw(st.sampled_from([16, 64])))
+    p = LatticeProblem(r=r, y_hat=y_hat, radius_sq=radius_sq,
+                       representation=representation, n=n)
+    return p, c, RadiusPolicy(initial_sq=radius_sq, growth=4.0, max_restarts=3)
+
+
+class TestProposedMatchesReference:
+    @pytest.mark.parametrize("dimension", ["2n", "n"])
+    @pytest.mark.parametrize("order", [16, 64])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_seeded_trials(self, n, order, dimension):
+        c = make_constellation(order)
+        for snr_db in _SNR_DB[order]:
+            for p, policy in seeded_problems(n, order, snr_db, dimension, trials=15):
+                assert_same_result(sd_proposed(p, c, policy),
+                                   reference_sd_proposed.sd_proposed(p, c, policy))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_tiny_radius_restarts(self, n):
+        c = make_constellation(16)
+        policy = RadiusPolicy(initial_sq=1e-3, growth=4.0, max_restarts=6)
+        restarts = 0
+        for p, _ in seeded_problems(n, 16, 20.0, "2n", trials=10, policy=policy):
+            res = sd_proposed(p, c, policy)
+            assert_same_result(res, reference_sd_proposed.sd_proposed(p, c, policy))
+            restarts += res.restarts
+        assert restarts > 0
+
+    @PROPERTY
+    @given(case=dyadic_problems(max_n=5, representation=Representation.INTERLEAVED),
+           data=st.data())
+    def test_dyadic_ties(self, case, data):
+        p, c, policy = case
+        caps = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=p.n - 2)
+                         if p.n >= 3 else st.just([]))
+        schedule = KBestSchedule({(p.n, c.order): caps} if caps else {})
+        assert_same_result(sd_proposed(p, c, policy, schedule),
+                           reference_sd_proposed.sd_proposed(p, c, policy, schedule))
+
+
+class TestConventionalMatchesMl:
+    @PROPERTY
+    @given(case=dyadic_problems(max_n=2, representation=Representation.STACKED))
+    def test_dyadic_ties(self, case):
+        p, c, policy = case
+        res = sd_conventional(p, c, policy)
+        ml = ml_exhaustive(p, c)
+        assert np.array_equal(res.x_hat, ml.x_hat)
+        assert res.weight == ml.weight
