@@ -5,10 +5,15 @@ All detectors minimize ||y_hat - R x||^2 over rail-valued vectors x and
 return the minimizer together with deterministic operation tallies on the
 :class:`DetectionResult`.
 
-Counting conventions: one FLOP is one real addition/subtraction,
-multiplication or division executed during the detection phase.
-Comparisons (radius tests, the rail quantizer, best-leaf updates) are
-tallied separately and excluded from ``flops``.  QR preprocessing is not
+Counting conventions: the tallies are the operation counts of each
+algorithm as specified, where one FLOP is one real addition/subtraction,
+multiplication or division of the detection phase.  Comparisons (radius
+tests, the rail quantizer, best-leaf updates) are tallied separately and
+excluded from ``flops``.  :func:`sd_proposed` counts one add and one
+comparison per middle-layer rail pair and one quantization per low rail of
+every surviving prefix; its counts depend only on how many prefixes
+survive into each layer, while its code skips the pairs and prefixes that
+provably cannot change the result.  QR preprocessing is not
 counted here; it is reported in the separate ``preproc_flops`` field of the
 lattice problem, so the two cost brackets can be merged or kept split
 downstream.  Each detection call keeps its own tallies, so identical
@@ -30,6 +35,7 @@ Search conventions shared by the tree detectors:
   the weight bit-for-bit.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -56,7 +62,7 @@ class DetectionResult:
     order; ``weight`` is the canonical ||y_hat - R x_hat||^2; ``restarts``
     counts radius-growth reruns (the final unconstrained fallback pass
     included).  ``adds``, ``mults``, ``divs`` and ``comparisons`` are the
-    executed-operation tallies of the module's counting convention.
+    operation tallies of the module's counting convention.
     """
 
     x_hat: np.ndarray
@@ -284,6 +290,13 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
        exact leaf weight; leaves inside the sphere compete and the lowest
        weight wins.
 
+    The tallies count every pair of step 2 and every quantization of step 3
+    as the algorithm specifies them.  The search itself visits prefixes in
+    (weight, prefix) order and each prefix's pairs best-first, and stops as
+    soon as no further pair can make the cap or no further prefix can beat
+    the best leaf; survivors, leaf, weight and tallies are those of the full
+    enumeration.
+
     For N <= 2 the quantization step is exact, so the returned weight equals
     :func:`ml_exhaustive`'s on every input.  Empty survivor sets trigger the
     radius policy's restarts, ending in an unconstrained pass.
@@ -302,6 +315,13 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
     yh = [float(v) for v in p.y_hat]
     rail = c.rail
     mu = c.mu
+    low_syms = range(n - 1 - len(caps), 0, -1)
+    # Per-prefix tallies of the quantization step: two rails per low symbol,
+    # each with t = m - 2*sym assigned columns (t mults and t-1 adds of
+    # interference, 1 add to center, 1 div and 1 comparison to quantize,
+    # 2 mults and 2 adds of metric), plus one leaf comparison per prefix.
+    quantized = 2 * len(low_syms)
+    leaf_ops = sum(2 * (m - 2 * sym + 2) for sym in low_syms)
 
     adds = mults = divs = cmps = nodes = 0
     best = None
@@ -316,62 +336,82 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
             for omega in rail:
                 d = yj - rjj * omega
                 t = d * d
-                nodes += 1
-                mults += 2
-                adds += 1
-                cmps += 1
                 if t < d2:
                     kept.append((t, omega))
             top.append(kept)
+        nodes += 2 * mu
+        mults += 4 * mu
+        adds += 2 * mu
+        cmps += 2 * mu
 
         survivors = []
         for t1, w1 in top[0]:
             for t2, w2 in top[1]:
                 w = t1 + t2
-                adds += 1
-                cmps += 1
                 if w < d2:
                     survivors.append((w, (w1, w2)))
+        pairs = len(top[0]) * len(top[1])
+        adds += pairs
+        cmps += pairs
         if not survivors:
             continue
+        survivors.sort()
 
-        # Middle symbol layers (N >= 3): enumerate mu^2 rail pairs per
-        # surviving prefix, keep the best-k per layer.
+        # Middle symbol layers (N >= 3): the best `cap` of the mu^2 rail
+        # pairs of every surviving prefix.  A pair weight is
+        # (w_pre + t_im) + t_re with both terms sorted ascending, so each
+        # scan below stops at the first pair that cannot make the cap:
+        # one at or above the radius, or above the cap-th smallest weight
+        # found so far.  A pair tied with that weight is still kept, and
+        # the final (weight, prefix) sort decides among ties.
         empty = False
         for layer, cap in enumerate(caps):
             sym = n - 1 - layer        # symbol index, 1-based
             j_im, j_re = 2 * sym - 1, 2 * sym - 2
+            t = m - 1 - j_im           # assigned columns per interference sum
+            s = len(survivors)
+            adds += s * (2 * (t - 1) + 2 + 3 * mu + mu * mu)
+            mults += s * (2 * t + 4 * mu)
+            nodes += s * 2 * mu
+            cmps += s * mu * mu
+            r_im = rows[j_im][j_im]
+            r_re = rows[j_re][j_re]
+            # Keep pairs with w <= bound: below the radius while fewer than
+            # `cap` pairs are kept, then the cap-th smallest kept weight.
+            bound = math.nextafter(d2, -math.inf)
+            heap = []  # negated weights of the `cap` smallest kept pairs
             nxt = []
             for w_pre, prefix in survivors:
-                e_im, a, ml = _interference(rows[j_im], prefix, j_im, m)
-                adds += a
-                mults += ml
-                e_re, a, ml = _interference(rows[j_re], prefix, j_im, m)
-                adds += a
-                mults += ml
-                c_im = yh[j_im] - e_im
-                c_re = yh[j_re] - e_re
-                adds += 2
-                r_im = rows[j_im][j_im]
-                r_re = rows[j_re][j_re]
-                part_im = []  # w_pre + 1-D imag-rail term, hoisted out of the pair loop
+                if w_pre > bound:
+                    break  # survivors are sorted and no pair weighs less
+                c_im = yh[j_im] - _interference(rows[j_im], prefix, j_im, m)
+                c_re = yh[j_re] - _interference(rows[j_re], prefix, j_im, m)
+                part_im = []  # w_pre + 1-D imag-rail term
                 t_re = []
                 for omega in rail:
                     d = c_im - r_im * omega
                     part_im.append((w_pre + d * d, omega))
                     d = c_re - r_re * omega
                     t_re.append((d * d, omega))
-                nodes += 2 * mu
-                mults += 4 * mu
-                adds += 3 * mu
+                part_im.sort()
+                t_re.sort()
+                t_min = t_re[0][0]
                 for si, wi in part_im:
+                    if si + t_min > bound:
+                        break  # so do all pairs of this and every later si
                     for tr, wr in t_re:
                         w = si + tr
-                        adds += 1
-                        cmps += 1
                         assert w >= w_pre
-                        if w < d2:
-                            nxt.append((w, prefix + (wi, wr)))
+                        if w > bound:
+                            break
+                        nxt.append((w, prefix + (wi, wr)))
+                        if len(heap) < cap:
+                            heapq.heappush(heap, -w)
+                            if len(heap) == cap:
+                                bound = -heap[0]
+                        elif w < bound:
+                            heapq.heapreplace(heap, -w)
+                            bound = -heap[0]
             if not nxt:
                 empty = True
                 break
@@ -381,10 +421,21 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
             continue
 
         # Step 2: quantize the remaining low symbols per surviving prefix.
+        # Leaf weights never fall below their prefix weight, so once a
+        # prefix is heavier than the best leaf no later prefix can win.
+        s = len(survivors)
+        adds += s * leaf_ops
+        mults += s * leaf_ops
+        divs += s * quantized
+        nodes += s * quantized
+        cmps += s * (quantized + 1)
         leaves = []
+        best_w = d2
         for w, prefix in survivors:
+            if w > best_w:
+                break
             values = list(prefix)
-            for sym in range(n - 1 - len(caps), 0, -1):
+            for sym in low_syms:
                 j_im, j_re = 2 * sym - 1, 2 * sym - 2
                 for j in (j_im, j_re):
                     row = rows[j]
@@ -393,27 +444,17 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
                     e = row[j_im + 1] * values[m - 2 - j_im]
                     for k in range(j_im + 2, m):
                         e += row[k] * values[m - 1 - k]
-                    terms = m - 1 - j_im
-                    mults += terms
-                    adds += terms - 1
                     cv = yh[j] - e
-                    adds += 1
                     rjj = row[j]
                     x_q = quantize_rail(cv / rjj, c)
-                    divs += 1
-                    cmps += 1
                     d = cv - rjj * x_q
-                    t = d * d
-                    w_new = w + t
-                    mults += 2
-                    adds += 2
-                    nodes += 1
+                    w_new = w + d * d
                     assert w_new >= w
                     w = w_new
                     values.append(x_q)
-            cmps += 1
             if w < d2:
                 leaves.append((w, tuple(values)))
+                best_w = min(best_w, w)
         if leaves:
             best = min(leaves)
             break
@@ -439,10 +480,9 @@ def _interference(row, prefix, j_top, m):
     """Sum of r[row, k] * x_k over the assigned columns k > j_top.
 
     ``prefix`` holds the assigned values in detection order (x at column
-    m-1 first).  Returns (sum, adds, mults) with the executed-op tally.
+    m-1 first).
     """
     e = row[j_top + 1] * prefix[m - 2 - j_top]
     for k in range(j_top + 2, m):
         e += row[k] * prefix[m - 1 - k]
-    terms = m - 1 - j_top
-    return e, terms - 1, terms
+    return e

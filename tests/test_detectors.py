@@ -301,6 +301,24 @@ class TestSdProposed:
         assert res.comparisons == 286
         assert res.restarts == 0
 
+    def test_leaf_tie_goes_to_first_in_detection_order(self):
+        # Interleaved N=2, R = I4 plus r[1,3] = r[0,3] = -1.5, all exact.
+        # Prefix (x3, x2) = (1, 1) weighs 0.25 and quantizes to (3, 3) with
+        # increments 1 + 1; prefix (-1, 1) weighs 2.25 and fits (1, 1)
+        # exactly.  Both leaves weigh 2.25, and every other prefix weighs
+        # at least 4.25.  The leaf of the heavier prefix comes first in
+        # detection order, so the leaf step must still visit a prefix tied
+        # with the best leaf.
+        r = np.eye(4)
+        r[1, 3] = r[0, 3] = -1.5
+        p = LatticeProblem(r=r, y_hat=np.array([2.5, 2.5, 1.0, 0.5]), radius_sq=1e9,
+                           representation=Representation.INTERLEAVED, n=2)
+        c = make_constellation(16)
+        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9))
+        assert np.array_equal(res.x_hat, np.array([1, 1, 1, -1]))
+        assert res.weight == 2.25
+        assert np.array_equal(res.x_hat, ml_exhaustive(p, c).x_hat)
+
     def test_level_independence(self):
         # with the forced zeros, the 1-D metric at an odd level l is
         # unaffected by the symbol chosen at level l+1 and vice versa
