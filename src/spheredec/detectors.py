@@ -368,10 +368,10 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
         for layer, cap in enumerate(caps):
             sym = n - 1 - layer        # symbol index, 1-based
             j_im, j_re = 2 * sym - 1, 2 * sym - 2
-            t = m - 1 - j_im           # assigned columns per interference sum
+            terms = m - 1 - j_im       # assigned columns per interference sum
             s = len(survivors)
-            adds += s * (2 * (t - 1) + 2 + 3 * mu + mu * mu)
-            mults += s * (2 * t + 4 * mu)
+            adds += s * (2 * (terms - 1) + 2 + 3 * mu + mu * mu)
+            mults += s * (2 * terms + 4 * mu)
             nodes += s * 2 * mu
             cmps += s * mu * mu
             r_im = rows[j_im][j_im]

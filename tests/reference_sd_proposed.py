@@ -3,7 +3,7 @@ before the best-first K-best rewrite, kept verbatim.
 
 This copy enumerates and sorts every rail pair of every middle layer and
 quantizes every surviving prefix, adding each tally as the operation
-executes.  ``tests/test_kbest_equivalence.py`` requires the detector in
+executes.  ``tests/test_equivalence.py`` requires the detector in
 ``spheredec.detectors`` to return the same ``x_hat``, ``weight``,
 ``restarts`` and tallies on every input.
 """
