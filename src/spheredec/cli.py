@@ -16,8 +16,6 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .detectors import ML_CANDIDATE_GUARD
-from .modem import make_constellation
 from .sim import DETECTOR_NAMES, SimConfig, run_sweep, workers_from_env
 
 _MOD_FLAGS = {"16qam": 16, "64qam": 64}
@@ -82,17 +80,6 @@ def parse_args(argv):
     except ValueError as exc:
         parser.error(f"invalid --snr {ns.snr!r}: {exc}")
 
-    detectors = tuple(ns.detectors) if ns.detectors else DETECTOR_NAMES
-    order = _MOD_FLAGS[ns.mod]
-    if "ml" in detectors:
-        c = make_constellation(order)
-        space = c.mu ** (2 * ns.n)
-        if space > ML_CANDIDATE_GUARD:
-            parser.error(
-                f"detector 'ml' needs {c.mu}^{2 * ns.n} = {space} candidates, "
-                f"above the {ML_CANDIDATE_GUARD} guard; drop --detector ml "
-                "or reduce --n/--mod"
-            )
     if ns.trials < 1:
         parser.error("--trials must be at least 1")
 
@@ -100,8 +87,8 @@ def parse_args(argv):
         workers_from_env()
         cfg = SimConfig(
             n_antennas=ns.n,
-            mod_order=order,
-            detectors=detectors,
+            mod_order=_MOD_FLAGS[ns.mod],
+            detectors=tuple(ns.detectors) if ns.detectors else DETECTOR_NAMES,
             snr_start_db=start,
             snr_stop_db=stop,
             snr_step_db=step,

@@ -3,15 +3,16 @@
 Two equivalent 2N-dimensional real formulations of y = H s + v are
 supported:
 
+* ``INTERLEAVED`` -- each transmit symbol contributes an adjacent (Re, Im)
+  column pair and each receive sample an adjacent (Re, Im) row pair.
+  Adjacent columns of a pair are exactly orthogonal with equal norm, which
+  puts exact zeros at r[k, k+1] (even 0-based k) after Gram-Schmidt QR; the
+  reduced-complexity detector relies on those zeros to decode each symbol's
+  real and imaginary rails independently.
 * ``STACKED``   -- the block form [[Re H, -Im H], [Im H, Re H]] with the
-  real parts of all symbols stacked above all imaginary parts.
-* ``INTERLEAVED`` -- rows and columns are reordered so each transmit symbol
-  contributes an adjacent (Re, Im) column pair and each receive sample an
-  adjacent (Re, Im) row pair.  Adjacent columns of a pair are exactly
-  orthogonal with equal norm, which puts exact zeros at r[k, k+1] (even
-  0-based k) after Gram-Schmidt QR; the reduced-complexity detector relies
-  on those zeros to decode each symbol's real and imaginary rails
-  independently.
+  real parts of all symbols stacked above all imaginary parts.  It is the
+  interleaved form with rows and columns permuted by :func:`symbol_order`,
+  and its receive vector the pair-ordered one permuted the same way.
 
 Levels follow the 1-indexed convention l = 2N, ..., 1 used throughout the
 tree-search code: level l corresponds to row/column l-1 of R.
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import apply_qt, gram_schmidt_qr, preprocessing_flops
+from .linalg import gram_schmidt_qr, preprocessing_flops
+from .modem import complex_to_rails
 
 
 class Representation(enum.Enum):
@@ -57,12 +59,11 @@ class RadiusPolicy:
             raise ValueError("max_restarts must be at least 1")
 
     @classmethod
-    def for_noise(cls, sigma_sq, n, dimension="2n", growth=2.0, max_restarts=20):
+    def for_noise(cls, sigma_sq, n, dimension="2n"):
         if dimension not in ("n", "2n"):
             raise ValueError(f"dimension must be 'n' or '2n', got {dimension!r}")
         dim = 2 * n if dimension == "2n" else n
-        return cls(initial_sq=2.0 * sigma_sq * dim,
-                   growth=growth, max_restarts=max_restarts)
+        return cls(initial_sq=2.0 * sigma_sq * dim)
 
     def radii(self):
         """Yield ``(attempt, d2)`` for each search pass: the initial squared
@@ -92,9 +93,11 @@ class LatticeProblem:
 
 
 def stack_real(h):
-    """Complex N x N channel -> stacked 2N x 2N real form."""
+    """Complex N x N channel -> stacked 2N x 2N real form: the interleaved
+    form with rows and columns permuted into the stacked symbol order."""
     h = _square_complex(h)
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+    order = symbol_order(len(h), Representation.STACKED)
+    return interleave(h)[np.ix_(order, order)]
 
 
 def interleave(h):
@@ -114,30 +117,12 @@ def interleave(h):
     return out
 
 
-def reorder_received(y, representation):
-    """Complex receive vector -> real vector in the representation's order."""
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {y.shape}")
-    if representation is Representation.STACKED:
-        return np.concatenate([y.real, y.imag])
-    out = np.empty(2 * len(y))
-    out[0::2] = y.real
-    out[1::2] = y.imag
-    return out
-
-
 def symbol_order(n, representation):
     """Index permutation taking a pair-ordered rail vector into the
     representation's symbol order: x_rep = x_pair[symbol_order(n, rep)]."""
     if representation is Representation.INTERLEAVED:
         return np.arange(2 * n)
     return np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-
-
-def to_representation_order(x_pair, representation):
-    x_pair = np.asarray(x_pair)
-    return x_pair[symbol_order(len(x_pair) // 2, representation)]
 
 
 def to_pair_order(x_rep, representation):
@@ -151,11 +136,13 @@ def to_pair_order(x_rep, representation):
 def build_problem(h, y, sigma_sq, representation, policy=None):
     """Assemble the QR-reduced problem for one channel use.
 
-    Applies the chosen real decomposition, Gram-Schmidt QR (with structural
-    zero forcing for the interleaved form), and the q^T rotation of the
-    reordered receive vector.  ``policy`` defaults to the 2N-dimension noise
-    radius.  Propagates :class:`~spheredec.linalg.DegenerateChannelError`
-    for rank-deficient draws so the caller can redraw the channel.
+    Permutes the interleaved real form and the pair-ordered receive vector
+    into the representation's symbol order, then applies Gram-Schmidt QR
+    (with structural zero forcing for the interleaved form) and the q^T
+    rotation of the receive vector.  ``policy`` defaults to the
+    2N-dimension noise radius.  Propagates
+    :class:`~spheredec.linalg.DegenerateChannelError` for rank-deficient
+    draws so the caller can redraw the channel.
     """
     h = _square_complex(h)
     if sigma_sq <= 0:
@@ -165,10 +152,10 @@ def build_problem(h, y, sigma_sq, representation, policy=None):
         raise ValueError("received vector length does not match the channel")
     if policy is None:
         policy = RadiusPolicy.for_noise(sigma_sq, n)
-    interleaved = representation is Representation.INTERLEAVED
-    h_real = interleave(h) if interleaved else stack_real(h)
-    factors = gram_schmidt_qr(h_real, pair_zeros=interleaved)
-    y_hat = apply_qt(factors.q, reorder_received(y, representation))
+    order = symbol_order(n, representation)
+    factors = gram_schmidt_qr(interleave(h)[np.ix_(order, order)],
+                              pair_zeros=representation is Representation.INTERLEAVED)
+    y_hat = factors.q.T @ complex_to_rails(y)[order]
     return LatticeProblem(
         r=factors.r,
         y_hat=y_hat,

@@ -1,4 +1,4 @@
-"""Dense matrix helpers and classical Gram-Schmidt QR.
+"""Classical Gram-Schmidt QR and its operation count.
 
 All routines operate on plain float64 / complex128 numpy arrays.  The QR
 factorization is written out as the classical (project-onto-the-original-
@@ -97,15 +97,6 @@ def gram_schmidt_qr(h, pair_zeros=False):
         for k in range(0, m, 2):
             r[k, k + 1] = 0.0
     return QrFactors(q=q, r=r, zero_structure_max=zmax)
-
-
-def apply_qt(q, y):
-    """Rotate a received vector by the transpose of the orthonormal q."""
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or q.ndim != 2 or q.shape[0] != len(y):
-        raise ValueError(f"shape mismatch: {q.shape} vs vector of {y.shape}")
-    return q.T @ y
 
 
 def preprocessing_flops(m):

@@ -12,7 +12,7 @@ here use *pair order*: [Re s_1, Im s_1, Re s_2, Im s_2, ...].
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,9 @@ class Constellation:
     ``rail`` is the ascending one-dimensional alphabet, ``mu`` its size,
     ``bits_per_rail`` = log2(mu), and ``avg_symbol_energy`` the mean |s|^2
     over the full complex constellation (= 2 * mean(rail^2)).
+    ``level_of_codeword`` maps each Gray codeword, read as an integer, to
+    its rail level, and ``bits_of_level`` maps each rail level to its
+    codeword bits, MSB first.
     """
 
     order: int
@@ -36,69 +39,65 @@ class Constellation:
     mu: int
     bits_per_rail: int
     avg_symbol_energy: float
+    level_of_codeword: np.ndarray = field(repr=False, compare=False)
+    bits_of_level: dict = field(repr=False, compare=False)
 
 
-def make_constellation(order):
-    """Build the 16-QAM or 64-QAM constellation."""
-    if order not in _RAILS:
-        raise ValueError(f"unsupported QAM order {order!r}; choose 16 or 64")
+def _build_constellation(order):
     rail = _RAILS[order]
     mu = len(rail)
-    energy = 2.0 * sum(v * v for v in rail) / mu
+    bpr = mu.bit_length() - 1
+    codewords = [i ^ (i >> 1) for i in range(mu)]  # binary-reflected Gray code
+    level_of_codeword = np.empty(mu, dtype=int)
+    level_of_codeword[codewords] = rail
+    level_of_codeword.setflags(write=False)
+    bits_of_level = {level: tuple((g >> (bpr - 1 - j)) & 1 for j in range(bpr))
+                     for level, g in zip(rail, codewords)}
     return Constellation(
         order=order,
         rail=rail,
         mu=mu,
-        bits_per_rail=mu.bit_length() - 1,
-        avg_symbol_energy=energy,
+        bits_per_rail=bpr,
+        avg_symbol_energy=2.0 * sum(v * v for v in rail) / mu,
+        level_of_codeword=level_of_codeword,
+        bits_of_level=bits_of_level,
     )
 
 
-def _gray_decode(g):
-    # inverse of i -> i ^ (i >> 1)
-    i = g
-    shift = 1
-    while (g >> shift) > 0:
-        i ^= g >> shift
-        shift += 1
-    return i
+_CONSTELLATIONS = {order: _build_constellation(order) for order in _RAILS}
+
+
+def make_constellation(order):
+    """The 16-QAM or 64-QAM constellation."""
+    if order not in _CONSTELLATIONS:
+        raise ValueError(f"unsupported QAM order {order!r}; choose 16 or 64")
+    return _CONSTELLATIONS[order]
 
 
 def bits_to_symbols(bits, c, n_antennas):
     """Map a bit vector onto 2N rail levels in pair order.
 
     Consecutive groups of ``bits_per_rail`` bits (MSB first) are read as a
-    Gray codeword and mapped to the rail level at the decoded index, filling
+    Gray codeword and mapped to its rail level, filling
     [Re s_1, Im s_1, ..., Re s_N, Im s_N] in order.
     """
     bits = np.asarray(bits, dtype=int)
     expected = 2 * n_antennas * c.bits_per_rail
     if bits.ndim != 1 or len(bits) != expected:
         raise ValueError(f"expected {expected} bits, got {bits.shape}")
-    out = np.empty(2 * n_antennas, dtype=int)
-    bpr = c.bits_per_rail
-    for i in range(2 * n_antennas):
-        g = 0
-        for b in bits[i * bpr:(i + 1) * bpr]:
-            g = (g << 1) | int(b)
-        out[i] = c.rail[_gray_decode(g)]
-    return out
+    weights = 1 << np.arange(c.bits_per_rail - 1, -1, -1)
+    return c.level_of_codeword[bits.reshape(-1, c.bits_per_rail) @ weights]
 
 
 def symbols_to_bits(symbols, c):
     """Exact inverse of :func:`bits_to_symbols`."""
-    symbols = np.asarray(symbols, dtype=int)
-    bpr = c.bits_per_rail
-    out = np.empty(len(symbols) * bpr, dtype=int)
-    for i, level in enumerate(symbols):
+    out = []
+    for level in np.asarray(symbols, dtype=int).tolist():
         try:
-            idx = c.rail.index(level)
-        except ValueError:
+            out.extend(c.bits_of_level[level])
+        except KeyError:
             raise ValueError(f"{level} is not a rail level of {c.order}-QAM") from None
-        g = idx ^ (idx >> 1)
-        for j in range(bpr):
-            out[i * bpr + j] = (g >> (bpr - 1 - j)) & 1
-    return out
+    return np.array(out, dtype=int)
 
 
 def quantize_rail(v, c):

@@ -18,13 +18,21 @@ and sequential execution.
 """
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .detectors import KBestSchedule, ml_exhaustive, sd_conventional, sd_proposed
+from .detectors import (
+    ML_CANDIDATE_GUARD,
+    KBestSchedule,
+    ml_exhaustive,
+    sd_conventional,
+    sd_proposed,
+)
 from .lattice import RadiusPolicy, Representation, build_problem, to_pair_order
 from .linalg import DegenerateChannelError
 from .modem import (
@@ -87,6 +95,15 @@ class SimConfig:
                 raise ValueError(f"unknown detector {name!r}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("each detector may be listed only once")
+        if "ml" in self.detectors:
+            mu = make_constellation(self.mod_order).mu
+            space = mu ** (2 * self.n_antennas)
+            if space > ML_CANDIDATE_GUARD:
+                raise ValueError(
+                    f"detector 'ml' needs {mu}^{2 * self.n_antennas} = {space} "
+                    f"candidates, above the {ML_CANDIDATE_GUARD} guard; drop "
+                    "detector 'ml' or reduce the antennas or QAM order"
+                )
 
     def snr_points(self):
         pts = []
@@ -99,28 +116,29 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ChannelInstance:
-    """Ground truth for one channel use: y = h @ s + v exactly as drawn."""
+    """Ground truth for one channel use, exactly as drawn: the bits, their
+    pair-ordered rail levels ``x_pair``, the channel ``h`` and the receive
+    vector ``y = h @ s + v`` with ``s = rails_to_complex(x_pair)``."""
 
+    bits: np.ndarray
+    x_pair: np.ndarray
     h: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-    sigma_sq: float
     y: np.ndarray
-    bits: np.ndarray = field(repr=False, default=None)
-    x_pair: np.ndarray = field(repr=False, default=None)
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    detector: str
-    x_hat: np.ndarray
-    weight: float
-    bit_errors: int
-    symbol_errors: int
-    flops: int
-    preproc_flops: int
-    nodes: int
-    restarts: int
+class Tally(NamedTuple):
+    """Integer sums for one (SNR point, detector) cell; tallies merge by
+    ``+``, so any grouping of trials gives the same totals."""
+
+    trials: int = 0
+    bit_errors: int = 0
+    symbol_errors: int = 0
+    flops: int = 0
+    preproc_flops: int = 0
+    nodes: int = 0
+
+    def __add__(self, other):
+        return Tally(*map(operator.add, self, other))
 
 
 @dataclass(frozen=True)
@@ -170,9 +188,7 @@ def draw_instance(rng, cfg, sigma_sq):
     s = rails_to_complex(x_pair)
     h = draw_channel(rng, n)
     v = np.sqrt(sigma_sq / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    y = h @ s + v
-    return ChannelInstance(h=h, s=s, v=v, sigma_sq=sigma_sq, y=y,
-                           bits=bits, x_pair=x_pair)
+    return ChannelInstance(bits=bits, x_pair=x_pair, h=h, y=h @ s + v)
 
 
 @dataclass(frozen=True)
@@ -202,8 +218,8 @@ def run_trial(rng, cfg, snr_db, point=None):
     the same trial.  A draw that is rank deficient in a needed
     representation is redrawn (the stream simply continues), capped at 100
     per trial.  ``point`` holds the objects shared by all trials at
-    ``snr_db`` and is built here when omitted.  Returns one
-    :class:`TrialResult` per detector, in ``cfg.detectors`` order.
+    ``snr_db`` and is built here when omitted.  Returns a one-trial
+    :class:`Tally` per detector, in ``cfg.detectors`` order.
     """
     if point is None:
         point = _point(cfg, snr_db)
@@ -213,7 +229,7 @@ def run_trial(rng, cfg, snr_db, point=None):
     for _ in range(_MAX_REDRAWS):
         inst = draw_instance(rng, cfg, point.sigma_sq)
         try:
-            problems = {rep: build_problem(inst.h, inst.y, inst.sigma_sq, rep, point.policy)
+            problems = {rep: build_problem(inst.h, inst.y, point.sigma_sq, rep, point.policy)
                         for rep in reps}
         except DegenerateChannelError:
             continue
@@ -221,7 +237,7 @@ def run_trial(rng, cfg, snr_db, point=None):
     else:
         raise RuntimeError("exceeded the degenerate-channel redraw cap")
 
-    results = []
+    tallies = []
     for name in cfg.detectors:
         problem = problems[_DETECTOR_REPRESENTATION[name]]
         if name == "ml":
@@ -233,36 +249,25 @@ def run_trial(rng, cfg, snr_db, point=None):
         x_hat_pair = to_pair_order(result.x_hat, problem.representation)
         bits_hat = symbols_to_bits(x_hat_pair, c)
         true_pair = inst.x_pair
-        results.append(TrialResult(
-            detector=name,
-            x_hat=result.x_hat,
-            weight=result.weight,
+        tallies.append(Tally(
+            trials=1,
             bit_errors=int(np.sum(bits_hat != inst.bits)),
             symbol_errors=int(np.sum((x_hat_pair[0::2] != true_pair[0::2])
                                      | (x_hat_pair[1::2] != true_pair[1::2]))),
             flops=result.flops,
             preproc_flops=problem.preproc_flops,
             nodes=result.nodes_visited,
-            restarts=result.restarts,
         ))
-    return tuple(results)
+    return tuple(tallies)
 
 
 def _trial_block(cfg, snr_index, snr_db, lo, hi):
-    """Integer sums over trials [lo, hi) of one SNR point, one row per
-    detector: bit errors, symbol errors, FLOPs, preprocessing FLOPs, nodes
-    and restarts."""
+    """Tallies over trials [lo, hi) of one SNR point, one per detector."""
     point = _point(cfg, snr_db)
-    sums = [[0] * 6 for _ in cfg.detectors]
+    sums = [Tally()] * len(cfg.detectors)
     for t in range(lo, hi):
-        results = run_trial(trial_rng(cfg.seed, snr_index, t), cfg, snr_db, point)
-        for agg, rec in zip(sums, results):
-            agg[0] += rec.bit_errors
-            agg[1] += rec.symbol_errors
-            agg[2] += rec.flops
-            agg[3] += rec.preproc_flops
-            agg[4] += rec.nodes
-            agg[5] += rec.restarts
+        tallies = run_trial(trial_rng(cfg.seed, snr_index, t), cfg, snr_db, point)
+        sums = [a + b for a, b in zip(sums, tallies)]
     return sums
 
 
@@ -308,39 +313,26 @@ def run_sweep(cfg, workers=None):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_trial_block, *zip(*jobs)))
 
-    sums = [[[0] * 6 for _ in cfg.detectors] for _ in points]
+    cells = [[Tally()] * len(cfg.detectors) for _ in points]
     for job, part in zip(jobs, parts):
-        for total, agg in zip(sums[job[1]], part):
-            for k in range(6):
-                total[k] += agg[k]
+        cells[job[1]] = [a + b for a, b in zip(cells[job[1]], part)]
 
     records = []
-    for snr_db, per_detector in zip(points, sums):
-        for name, (bit_err, sym_err, flops, preproc, nodes, _) in zip(cfg.detectors,
-                                                                      per_detector):
+    for snr_db, per_detector in zip(points, cells):
+        for name, cell in zip(cfg.detectors, per_detector):
             records.append(SweepRecord(
                 snr_db=snr_db,
                 detector=name,
                 n=cfg.n_antennas,
                 mod=cfg.mod_order,
-                ber=bit_err / (trials * bits_per_trial),
-                ser=sym_err / (trials * cfg.n_antennas),
-                mean_flops=flops / trials,
-                mean_preproc_flops=preproc / trials,
-                mean_nodes=nodes / trials,
-                trials=trials,
-                bit_errors=bit_err,
+                ber=cell.bit_errors / (cell.trials * bits_per_trial),
+                ser=cell.symbol_errors / (cell.trials * cfg.n_antennas),
+                mean_flops=cell.flops / cell.trials,
+                mean_preproc_flops=cell.preproc_flops / cell.trials,
+                mean_nodes=cell.nodes / cell.trials,
+                trials=cell.trials,
+                bit_errors=cell.bit_errors,
                 seed=cfg.seed,
             ))
     return records
 
-
-def binomial_ci(errors, total, z=1.96):
-    """Wilson score interval for an error ratio (95% by default)."""
-    if total <= 0:
-        raise ValueError("total must be positive")
-    p = errors / total
-    denom = 1.0 + z * z / total
-    center = (p + z * z / (2 * total)) / denom
-    half = z * np.sqrt(p * (1 - p) / total + z * z / (4 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)

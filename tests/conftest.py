@@ -1,12 +1,15 @@
-"""Shared fixtures: the heavy SNR sweeps used by several acceptance tests,
-and the environment for tests that run spheredec in a child interpreter."""
+"""Shared fixtures and helpers: the heavy SNR sweeps used by several
+acceptance tests, the environment for tests that run spheredec in a child
+interpreter, and test-side helpers that the package itself does not need."""
 
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spheredec
+from spheredec.lattice import Representation, symbol_order
 from spheredec.sim import SimConfig, run_sweep
 
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -21,6 +24,37 @@ def subprocess_env(**overrides):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env.update(overrides)
     return env
+
+
+def binomial_ci(errors, total, z=1.96):
+    """Wilson score interval for an error ratio (95% by default)."""
+    if total <= 0:
+        raise ValueError("total must be positive")
+    p = errors / total
+    denom = 1.0 + z * z / total
+    center = (p + z * z / (2 * total)) / denom
+    half = z * np.sqrt(p * (1 - p) / total + z * z / (4 * total * total)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def to_representation_order(x_pair, representation):
+    """Pair-ordered rail vector -> the representation's symbol order."""
+    x_pair = np.asarray(x_pair)
+    return x_pair[symbol_order(len(x_pair) // 2, representation)]
+
+
+def reorder_received(y, representation):
+    """Complex receive vector -> real vector in the representation's order,
+    written out per representation as an oracle for ``build_problem``."""
+    y = np.asarray(y, dtype=complex)
+    if y.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {y.shape}")
+    if representation is Representation.STACKED:
+        return np.concatenate([y.real, y.imag])
+    out = np.empty(2 * len(y))
+    out[0::2] = y.real
+    out[1::2] = y.imag
+    return out
 
 
 def _sweep(n, mod, start, stop, step, trials, seed):

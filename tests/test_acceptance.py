@@ -17,15 +17,13 @@ from spheredec.lattice import (
     Representation,
     build_problem,
     interleave,
-    reorder_received,
     stack_real,
-    to_representation_order,
 )
 from spheredec.linalg import gram_schmidt_qr
 from spheredec.modem import bits_to_symbols, make_constellation, quantize_rail, symbols_to_bits
-from spheredec.sim import SimConfig, binomial_ci, draw_instance, run_sweep, sigma_for_snr, trial_rng
+from spheredec.sim import SimConfig, draw_instance, run_sweep, sigma_for_snr, trial_rng
 
-from conftest import WORKERS
+from conftest import WORKERS, binomial_ci, reorder_received, to_representation_order
 
 
 def _report(name, ok, detail):

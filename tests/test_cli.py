@@ -98,6 +98,7 @@ class TestParseArgs:
         ([], {"LATTICE_SD_THREADS": "abc"}),
         ([], {"LATTICE_SD_THREADS": "0"}),
         (["--detector", "sd-conv", "--detector", "sd-conv"], {}),
+        (["--detector", "ml", "--n", "6", "--mod", "64qam"], {}),
     ])
     def test_bad_input_fails_fast(self, args, env):
         # a child interpreter under -O, so a hang cannot stall the suite and

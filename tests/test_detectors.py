@@ -21,14 +21,12 @@ from spheredec.lattice import (
     Representation,
     build_problem,
     interleave,
-    reorder_received,
     stack_real,
     to_pair_order,
-    to_representation_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
 
-from conftest import subprocess_env
+from conftest import reorder_received, subprocess_env, to_representation_order
 
 
 def random_channel(rng, n):

@@ -37,7 +37,8 @@ def assert_same_result(a, b):
 
 
 def seeded_problems(n, order, snr_db, dimension, trials, policy=None):
-    cfg = SimConfig(n_antennas=n, mod_order=order, radius_dimension=dimension)
+    cfg = SimConfig(n_antennas=n, mod_order=order, detectors=("sd-new",),
+                    radius_dimension=dimension)
     c = make_constellation(order)
     sigma_sq = sigma_for_snr(snr_db, c, n)
     if policy is None:

@@ -9,13 +9,13 @@ from spheredec.lattice import (
     Representation,
     build_problem,
     interleave,
-    reorder_received,
     stack_real,
     to_pair_order,
-    to_representation_order,
 )
 from spheredec.linalg import DegenerateChannelError
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
+
+from conftest import reorder_received, to_representation_order
 
 
 def random_channel(rng, n):

@@ -6,7 +6,6 @@ import pytest
 from spheredec.lattice import interleave
 from spheredec.linalg import (
     DegenerateChannelError,
-    apply_qt,
     gram_schmidt_qr,
     preprocessing_flops,
 )
@@ -114,29 +113,6 @@ class TestInterleavedZeroStructure:
         rng = np.random.default_rng(15)
         f = gram_schmidt_qr(rng.standard_normal((4, 4)))
         assert f.zero_structure_max is None
-
-
-class TestApplyQt:
-    def test_identity(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(apply_qt(np.eye(3), y), y)
-
-    def test_preserves_norm(self):
-        rng = np.random.default_rng(21)
-        f = gram_schmidt_qr(rng.standard_normal((6, 6)))
-        y = rng.standard_normal(6)
-        assert abs(np.linalg.norm(apply_qt(f.q, y)) - np.linalg.norm(y)) < 1e-9
-
-    def test_matches_mat_mul(self):
-        rng = np.random.default_rng(22)
-        q = rng.standard_normal((5, 5))
-        y = rng.standard_normal(5)
-        expected = q.T @ y
-        assert np.allclose(apply_qt(q, y), expected, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            apply_qt(np.eye(3), np.ones(4))
 
 
 def test_preprocessing_flops_hand_count():

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spheredec.modem import make_constellation
+from spheredec.modem import make_constellation, rails_to_complex
 from spheredec.sim import (
     ChannelInstance,
     SimConfig,
-    binomial_ci,
+    SweepRecord,
+    Tally,
     draw_channel,
     draw_instance,
     run_sweep,
@@ -17,6 +18,8 @@ from spheredec.sim import (
     sigma_for_snr,
     trial_rng,
 )
+
+from conftest import binomial_ci
 
 
 class TestDrawChannel:
@@ -59,8 +62,9 @@ class TestSigmaForSnr:
         sig = noise = 0.0
         for _ in range(100_000):
             inst = draw_instance(rng, cfg, sigma_sq)
-            sig += float(np.sum(np.abs(inst.h @ inst.s) ** 2))
-            noise += float(np.sum(np.abs(inst.v) ** 2))
+            hs = inst.h @ rails_to_complex(inst.x_pair)
+            sig += float(np.sum(np.abs(hs) ** 2))
+            noise += float(np.sum(np.abs(inst.y - hs) ** 2))
         assert abs(sig / noise - 10 ** (snr_db / 10.0)) < 0.03 * 10 ** (snr_db / 10.0)
 
 
@@ -70,7 +74,7 @@ class TestRunTrial:
                         detectors=("ml", "sd-conv", "sd-new"), trials_per_point=1)
         for t in range(20):
             recs = run_trial(trial_rng(1, 0, t), cfg, snr_db=120.0)
-            assert [rec.detector for rec in recs] == list(cfg.detectors)
+            assert len(recs) == len(cfg.detectors)
             for rec in recs:
                 assert rec.bit_errors == 0
                 assert rec.symbol_errors == 0
@@ -81,29 +85,27 @@ class TestRunTrial:
         solo_cfg = replace(cfg, detectors=("sd-conv",))
         for t in range(50):
             a, b = run_trial(trial_rng(2, 0, t), cfg, snr_db=10.0)
-            assert a.weight == b.weight
-            assert np.array_equal(a.x_hat, b.x_hat)
-            assert a.bit_errors == b.bit_errors
+            # ml and sd-conv decide alike, so they make the same errors
+            assert (a.bit_errors, a.symbol_errors) == (b.bit_errors, b.symbol_errors)
+            assert a.preproc_flops == b.preproc_flops
             # the same stream shows the same trial whatever else runs
             (solo,) = run_trial(trial_rng(2, 0, t), solo_cfg, snr_db=10.0)
-            assert solo.weight == b.weight
-            assert np.array_equal(solo.x_hat, b.x_hat)
+            assert solo == b
 
     def test_fields_finite(self):
         cfg = SimConfig(n_antennas=2, mod_order=64, detectors=("sd-new",),
                         trials_per_point=1)
         (rec,) = run_trial(trial_rng(3, 0, 0), cfg, snr_db=5.0)
-        assert np.isfinite(rec.weight)
+        assert rec.trials == 1
         assert rec.flops > 0 and rec.nodes > 0 and rec.preproc_flops > 0
-        assert rec.restarts >= 0
 
     def test_instance_consistency(self):
         rng = np.random.default_rng(93)
         cfg = SimConfig(n_antennas=3, mod_order=16, detectors=("sd-conv",),
                         trials_per_point=1)
-        inst = draw_instance(rng, cfg, 2.0)
+        inst = draw_instance(rng, cfg, 0.0)  # noiseless
         assert isinstance(inst, ChannelInstance)
-        assert np.array_equal(inst.y, inst.h @ inst.s + inst.v)
+        assert np.array_equal(inst.y, inst.h @ rails_to_complex(inst.x_pair))
 
 
 class TestRunSweep:
@@ -128,6 +130,27 @@ class TestRunSweep:
     def test_parallel_equals_sequential(self):
         cfg = self._tiny_cfg(trials_per_point=30)
         assert run_sweep(cfg, workers=1) == run_sweep(cfg, workers=2)
+
+    def test_records_are_summed_trial_tallies(self):
+        cfg = self._tiny_cfg(trials_per_point=6)
+        bits_per_trial = 2 * cfg.n_antennas * make_constellation(cfg.mod_order).bits_per_rail
+        expected = []
+        for i, snr_db in enumerate(cfg.snr_points()):
+            per_trial = [run_trial(trial_rng(cfg.seed, i, t), cfg, snr_db)
+                         for t in range(cfg.trials_per_point)]
+            for d, name in enumerate(cfg.detectors):
+                cell = sum((tallies[d] for tallies in per_trial), Tally())
+                expected.append(SweepRecord(
+                    snr_db=snr_db, detector=name, n=cfg.n_antennas, mod=cfg.mod_order,
+                    ber=cell.bit_errors / (cell.trials * bits_per_trial),
+                    ser=cell.symbol_errors / (cell.trials * cfg.n_antennas),
+                    mean_flops=cell.flops / cell.trials,
+                    mean_preproc_flops=cell.preproc_flops / cell.trials,
+                    mean_nodes=cell.nodes / cell.trials,
+                    trials=cell.trials, bit_errors=cell.bit_errors, seed=cfg.seed))
+        assert [c.trials for c in expected] == [6] * 4
+        assert run_sweep(cfg, workers=1) == expected
+        assert run_sweep(cfg, workers=2) == expected
 
     def test_detector_list_does_not_perturb_draws(self):
         full = run_sweep(self._tiny_cfg(detectors=("sd-conv", "sd-new")))
@@ -190,6 +213,9 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=seed)
         SimConfig(seed=2**128 - 1)
+        with pytest.raises(ValueError, match="guard"):
+            SimConfig(n_antennas=6, mod_order=64, detectors=("ml",))
+        SimConfig(n_antennas=6, mod_order=16, detectors=("ml",))
         with pytest.raises(ValueError, match="workers"):
             run_sweep(self._tiny_cfg(trials_per_point=1), workers=0)
 
