@@ -183,6 +183,26 @@ class TestSdConventional:
         assert res.flops == 88
         assert res.restarts == 0
 
+    def test_interval_end_on_rail_tie_is_pruned(self):
+        # R = I2, y_hat = 0, d^2 = 4, rail (-3,-1,1,3).  Every node center is
+        # 0.  Top: x=-1 and x=1 weigh 1, x=+-3 weigh 9.  Below x_top=-1 the
+        # half-width is sqrt(3): x=-1 is a leaf at weight 2, which shrinks
+        # d^2 to 2, and the upper end sqrt(2 - 1) = 1 lands exactly on x=1,
+        # whose weight 2 == d^2 is pruned by the strict test.  Below
+        # x_top=1 both ends land on x=-1 and x=1, both pruned the same way.
+        # Three expanded nodes, each charged all 4 rails: 4 top + 8 bottom
+        # nodes, adds and mults 4*2 + 8*3 = 32.
+        p = LatticeProblem(r=np.eye(2), y_hat=np.zeros(2), radius_sq=4.0,
+                           representation=Representation.STACKED, n=1)
+        c = make_constellation(16)
+        res = sd_conventional(p, c, RadiusPolicy(initial_sq=4.0))
+        assert np.array_equal(res.x_hat, np.array([-1, -1]))
+        assert res.weight == 2.0
+        assert res.restarts == 0
+        assert res.nodes_visited == 12
+        assert (res.adds, res.mults, res.divs) == (32, 32, 0)
+        assert res.comparisons == 12
+
 
 class TestSdProposed:
     @pytest.mark.parametrize("order", [16, 64])

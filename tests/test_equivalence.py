@@ -8,6 +8,12 @@ The generated problems have dyadic entries, so every weight is computed
 exactly and equal weights are real ties; that exercises the
 ``(weight, prefix)`` tie-break at the K-best cap boundary and runs the
 hot-loop monotonicity asserts on inputs no channel draw produces.
+
+``sd_conventional`` must also equal the full-evaluation reference in
+``reference_sd_conventional`` exactly.  Its dyadic problems are general
+upper-triangular ones, where weights tie exactly with the radius and node
+centers fall exactly on a rail or midway between two, which are the cases
+the widened Fincke–Pohst interval must get right.
 """
 
 import numpy as np
@@ -20,6 +26,7 @@ from spheredec.lattice import LatticeProblem, RadiusPolicy, Representation, buil
 from spheredec.modem import make_constellation
 from spheredec.sim import SimConfig, draw_instance, sigma_for_snr, trial_rng
 
+import reference_sd_conventional
 import reference_sd_proposed
 
 # Reproducible, offline and bounded: no example database, a fixed seed.
@@ -36,7 +43,8 @@ def assert_same_result(a, b):
     assert (a.adds, a.mults, a.divs, a.comparisons) == (b.adds, b.mults, b.divs, b.comparisons)
 
 
-def seeded_problems(n, order, snr_db, dimension, trials, policy=None):
+def seeded_problems(n, order, snr_db, dimension, trials, policy=None,
+                    representation=Representation.INTERLEAVED):
     cfg = SimConfig(n_antennas=n, mod_order=order, detectors=("sd-new",),
                     radius_dimension=dimension)
     c = make_constellation(order)
@@ -45,20 +53,21 @@ def seeded_problems(n, order, snr_db, dimension, trials, policy=None):
         policy = RadiusPolicy.for_noise(sigma_sq, n, dimension=dimension)
     for t in range(trials):
         inst = draw_instance(trial_rng(7, n * 1000 + order, t), cfg, sigma_sq)
-        yield build_problem(inst.h, inst.y, sigma_sq, Representation.INTERLEAVED, policy), policy
+        yield build_problem(inst.h, inst.y, sigma_sq, representation, policy), policy
 
 
 @st.composite
-def dyadic_problems(draw, max_n, representation):
+def dyadic_problems(draw, max_n, representation, pair_zeros=True):
     """(problem, constellation, policy) with quarter-integer upper-triangular
-    R, positive diagonal, r[k, k+1] = 0 for even k, and half-integer y_hat."""
+    R, positive diagonal and half-integer y_hat; r[k, k+1] = 0 for even k
+    when ``pair_zeros``."""
     n = draw(st.integers(1, max_n))
     m = 2 * n
     r = np.zeros((m, m))
     for i in range(m):
         r[i, i] = draw(st.integers(1, 8)) / 4
         for k in range(i + 1, m):
-            if not (i % 2 == 0 and k == i + 1):
+            if not (pair_zeros and i % 2 == 0 and k == i + 1):
                 r[i, k] = draw(st.integers(-8, 8)) / 4
     y_hat = np.array(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))) / 2
     radius_sq = draw(st.sampled_from([0.25, 1.0, 4.0, 16.0, 1e9]))
@@ -111,3 +120,36 @@ class TestConventionalMatchesMl:
         ml = ml_exhaustive(p, c)
         assert np.array_equal(res.x_hat, ml.x_hat)
         assert res.weight == ml.weight
+
+
+class TestConventionalMatchesReference:
+    @pytest.mark.parametrize("dimension", ["2n", "n"])
+    @pytest.mark.parametrize("order", [16, 64])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_seeded_trials(self, n, order, dimension):
+        c = make_constellation(order)
+        for snr_db in _SNR_DB[order]:
+            for p, policy in seeded_problems(n, order, snr_db, dimension, trials=15,
+                                             representation=Representation.STACKED):
+                assert_same_result(sd_conventional(p, c, policy),
+                                   reference_sd_conventional.sd_conventional(p, c, policy))
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_tiny_radius_restarts(self, n):
+        c = make_constellation(16)
+        policy = RadiusPolicy(initial_sq=1e-3, growth=4.0, max_restarts=6)
+        restarts = 0
+        for p, _ in seeded_problems(n, 16, 20.0, "2n", trials=10, policy=policy,
+                                    representation=Representation.STACKED):
+            res = sd_conventional(p, c, policy)
+            assert_same_result(res, reference_sd_conventional.sd_conventional(p, c, policy))
+            restarts += res.restarts
+        assert restarts > 0
+
+    @PROPERTY
+    @given(case=dyadic_problems(max_n=3, representation=Representation.STACKED,
+                                pair_zeros=False))
+    def test_dyadic_ties(self, case):
+        p, c, policy = case
+        assert_same_result(sd_conventional(p, c, policy),
+                           reference_sd_conventional.sd_conventional(p, c, policy))
