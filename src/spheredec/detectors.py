@@ -13,7 +13,10 @@ excluded from ``flops``.  :func:`sd_proposed` counts one add and one
 comparison per middle-layer rail pair and one quantization per low rail of
 every surviving prefix; its counts depend only on how many prefixes
 survive into each layer, while its code skips the pairs and prefixes that
-provably cannot change the result.  QR preprocessing is not
+provably cannot change the result.  :func:`sd_conventional` charges all mu
+candidates of every expanded node, each with its interference sum
+recomputed in full, while its search evaluates only the rails inside the
+node's widened Fincke-Pohst interval.  QR preprocessing is not
 counted here; it is reported in the separate ``preproc_flops`` field of the
 lattice problem, so the two cost brackets can be merged or kept split
 downstream.  Each detection call keeps its own tallies, so identical
@@ -52,6 +55,15 @@ _ML_CHUNK = 1 << 16
 # Relative agreement required between a search's accumulated weight and the
 # canonical recomputation of the same leaf.
 _WEIGHT_CONSISTENCY = 1e-6
+
+# Relative widening of sd_conventional's Fincke-Pohst interval.  The
+# radicand d^2 - w_prefix becomes d^2 * (1 + _FP_WIDEN) - w_prefix, which
+# covers the rounding of the float radius test w_prefix + d*d < d^2, and
+# each end moves out by _FP_WIDEN times the level's scale
+# (|y_hat_l| + max|rail| * sum_k |r_{l,k}|) / r_{l,l}, which bounds the
+# rounding of the center and of a candidate's sum (about 1e-15 of that
+# scale at 2N <= 12).  Rails are 2 apart, so the widening costs nothing.
+_FP_WIDEN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -205,10 +217,16 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
     Classic depth-first tree search: starting at level 2N, each node's
     weight adds |y_hat_l - sum_{k=l..2N} r_{l,k} x_k|^2 to its parent's,
     branches at or above the squared radius are pruned, and every accepted
-    leaf shrinks the squared radius to its weight.  The per-node metric is
-    evaluated in full (the interference sum is recomputed at every node),
-    which is what the FLOP tally measures.  Returns the same weight as
-    :func:`ml_exhaustive` on every input.
+    leaf shrinks the squared radius to its weight.  The tallies charge all
+    mu candidates of every expanded node, each with its interference sum
+    recomputed in full, as the algorithm is specified.  The search itself
+    evaluates, in the same ascending order, only the rails inside the
+    node's Fincke-Pohst interval, center (y_hat_l - sum_{k>l} r_{l,k} x_k)
+    / r_{l,l} and half-width sqrt(d^2 - w_prefix) / r_{l,l}, widened to
+    cover rounding (see ``_FP_WIDEN``); the upper end follows the shrinking
+    radius.  The rails left out all fail the radius test, so the leaves,
+    radii, result and tallies are those of evaluating every rail.  Returns
+    the same weight as :func:`ml_exhaustive` on every input.
     """
     if p.representation is not Representation.STACKED:
         raise ValueError("sd_conventional requires the stacked representation")
@@ -216,9 +234,19 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
         policy = RadiusPolicy(initial_sq=p.radius_sq)
 
     m = 2 * p.n
-    rows = [[float(v) for v in p.r[i]] for i in range(m)]
-    yh = [float(v) for v in p.y_hat]
+    rows = p.r.tolist()
+    yh = p.y_hat.tolist()
     rail = c.rail
+    mu = c.mu
+    top = mu - 1  # rail value v has index (v + top) / 2
+    # Per level: 1 / r_jj, and how far each end of the interval moves out,
+    # in rail units, to cover the rounding of the center and of the
+    # candidates' own sums.
+    inv = [1.0 / row[j] for j, row in enumerate(rows)]
+    slack = [_FP_WIDEN * (abs(y) + top * sum(map(abs, row))) * v
+             for y, row, v in zip(yh, rows, inv)]
+    widen = 1.0 + _FP_WIDEN
+    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
     xv = [0.0] * m
     nodes_at = [0] * m  # node visits per level index, for the flop tally
 
@@ -230,14 +258,25 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
             nonlocal d2, best_w, best_x
             row = rows[j]
             yj = yh[j]
-            cnt = 0
-            for omega in rail:
+            nodes_at[j] += mu  # every rail, as specified
+            e = 0.0
+            for k in range(j + 1, m):
+                e += row[k] * xv[k]
+            # center and ends in rail-index units; d2 = inf keeps every rail
+            center = (yj - e) * inv[j] + top
+            half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
+            lo = 0.5 * (center - half)
+            i = ceil(lo) if lo > 0.0 else 0
+            hi = 0.5 * (center + half)
+            hi = floor(hi) if hi < top else top
+            while i <= hi:
+                omega = rail[i]
+                i += 1
                 s = row[j] * omega
                 for k in range(j + 1, m):
                     s += row[k] * xv[k]
                 d = yj - s
                 w = w_prefix + d * d
-                cnt += 1
                 assert w >= w_prefix  # partial metrics never decrease
                 if w < d2:
                     xv[j] = omega
@@ -247,7 +286,9 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
                         d2 = w
                         best_w = w
                         best_x = xv.copy()
-            nodes_at[j] += cnt
+                    # the radius may have shrunk: pull in the upper end
+                    half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
+                    hi = min(hi, floor(0.5 * (center + half)))
 
         dfs(m - 1, 0.0)
         if best_x is not None:

@@ -19,6 +19,7 @@ tree-search code: level l corresponds to row/column l-1 of R.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,12 +118,18 @@ def interleave(h):
     return out
 
 
+@functools.cache
 def symbol_order(n, representation):
     """Index permutation taking a pair-ordered rail vector into the
-    representation's symbol order: x_rep = x_pair[symbol_order(n, rep)]."""
+    representation's symbol order: x_rep = x_pair[symbol_order(n, rep)].
+
+    Built once per (n, representation) and returned read-only."""
     if representation is Representation.INTERLEAVED:
-        return np.arange(2 * n)
-    return np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+        order = np.arange(2 * n)
+    else:
+        order = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    order.flags.writeable = False
+    return order
 
 
 def to_pair_order(x_rep, representation):

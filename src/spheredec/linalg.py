@@ -106,13 +106,7 @@ def preprocessing_flops(m):
     per column k, the k inner products (m mults + m-1 adds each), the
     residual update (k*m mults + k*m adds), the norm (m mults + m-1 adds;
     the square root itself is not an add/mul/div), and the normalization
-    (m divisions).  The rotation costs m*m mults + m*(m-1) adds.
+    (m divisions).  The rotation costs m*m mults + m*(m-1) adds.  Summed
+    over k = 0..m-1 that is (4m-1) * m(m-1)/2 + m(3m-1), plus the rotation.
     """
-    total = 0
-    for k in range(m):
-        total += k * (2 * m - 1)  # projection coefficients
-        total += 2 * k * m        # residual update
-        total += 2 * m - 1        # squared norm
-        total += m                # normalization divides
-    total += m * m + m * (m - 1)  # rotation
-    return total
+    return (4 * m - 1) * (m * (m - 1) // 2) + m * (3 * m - 1) + m * m + m * (m - 1)

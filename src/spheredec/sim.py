@@ -95,8 +95,14 @@ class SimConfig:
                 raise ValueError(f"unknown detector {name!r}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("each detector may be listed only once")
+        if self.n_antennas < 1:
+            raise ValueError("n_antennas must be at least 1")
+        if self.radius_dimension not in ("n", "2n"):
+            raise ValueError(
+                f"radius_dimension must be 'n' or '2n', got {self.radius_dimension!r}"
+            )
+        mu = make_constellation(self.mod_order).mu  # rejects unsupported orders
         if "ml" in self.detectors:
-            mu = make_constellation(self.mod_order).mu
             space = mu ** (2 * self.n_antennas)
             if space > ML_CANDIDATE_GUARD:
                 raise ValueError(

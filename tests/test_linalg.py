@@ -120,3 +120,15 @@ def test_preprocessing_flops_hand_count():
     # norm 3, divides 2; rotation 4 + 2
     assert preprocessing_flops(2) == 5 + 12 + 6
     assert preprocessing_flops(4) > preprocessing_flops(2)
+
+
+def test_preprocessing_flops_closed_form_matches_count():
+    for m in range(2, 13):
+        total = 0
+        for k in range(m):
+            total += k * (2 * m - 1)  # projection coefficients
+            total += 2 * k * m        # residual update
+            total += 2 * m - 1        # squared norm
+            total += m                # normalization divides
+        total += m * m + m * (m - 1)  # rotation
+        assert preprocessing_flops(m) == total

@@ -216,6 +216,12 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="guard"):
             SimConfig(n_antennas=6, mod_order=64, detectors=("ml",))
         SimConfig(n_antennas=6, mod_order=16, detectors=("ml",))
+        with pytest.raises(ValueError, match="QAM order"):
+            SimConfig(mod_order=32, detectors=("sd-new",))
+        with pytest.raises(ValueError, match="n_antennas"):
+            SimConfig(n_antennas=0, detectors=("sd-conv",))
+        with pytest.raises(ValueError, match="radius_dimension"):
+            SimConfig(radius_dimension="3n", detectors=("sd-new",))
         with pytest.raises(ValueError, match="workers"):
             run_sweep(self._tiny_cfg(trials_per_point=1), workers=0)
 
