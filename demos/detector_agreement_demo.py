@@ -29,11 +29,11 @@ for order in (16, 64):
     agree = 0
     for snr_idx, snr_db in enumerate((5.0, 15.0, 25.0)):
         sigma_sq = sigma_for_snr(snr_db, c, 2)
+        pol = RadiusPolicy.for_noise(sigma_sq, 2)
         for t in range(TRIALS):
             inst = draw_instance(trial_rng(7, snr_idx, t), cfg, sigma_sq)
-            pol = RadiusPolicy.for_noise(sigma_sq, 2)
-            p_st = build_problem(inst.h, inst.y, sigma_sq, Representation.STACKED, pol)
-            p_in = build_problem(inst.h, inst.y, sigma_sq, Representation.INTERLEAVED, pol)
+            p_st = build_problem(inst.h, inst.y, Representation.STACKED)
+            p_in = build_problem(inst.h, inst.y, Representation.INTERLEAVED)
 
             ml = ml_exhaustive(p_st, c)
             conv = sd_conventional(p_st, c, pol)

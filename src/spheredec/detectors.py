@@ -92,51 +92,20 @@ class DetectionResult:
         return self.adds + self.mults + self.divs
 
 
-class KBestSchedule:
-    """Survivor caps for the middle tree layers of the reduced decoder.
-
-    Keyed by (N, constellation order).  For an N-antenna system with a cap
-    list of length L, symbols s_{N-1} down to s_{N-L} are enumerated with
-    the per-layer caps applied (best-weight survivors kept, ties broken
-    lexicographically) and the remaining low symbols are estimated by rail
-    quantization.  N <= 2 has no middle layers and needs no entry.
-    """
-
-    def __init__(self, table):
-        for (n, order), caps in table.items():
-            if not caps or any(c < 1 for c in caps):
-                raise ValueError(f"caps for ({n}, {order}) must all be >= 1")
-            if len(caps) > n - 2:
-                raise ValueError(
-                    f"cap list for ({n}, {order}) is longer than the {n - 2} "
-                    "middle symbol layers"
-                )
-        self._table = {key: tuple(caps) for key, caps in table.items()}
-
-    @classmethod
-    def default(cls):
-        """Caps used for the 4x4 and 6x6 complexity studies.
-
-        4x4 keeps the best 8 survivors at each of the two middle symbol
-        layers for either modulation; 6x6 keeps 16/8/4 (16-QAM) or 32/32/16
-        (64-QAM) at its three middle symbol layers.
-        """
-        return cls({
-            (4, 16): (8, 8),
-            (4, 64): (8, 8),
-            (6, 16): (16, 8, 4),
-            (6, 64): (32, 32, 16),
-        })
-
-    def caps_for(self, n, order):
-        if n <= 2:
-            return ()
-        try:
-            return self._table[(n, order)]
-        except KeyError:
-            raise ValueError(
-                f"no middle-layer schedule defined for N={n}, {order}-QAM"
-            ) from None
+# Survivor caps of the reduced decoder's middle symbol layers, keyed by
+# (N, constellation order).  With a cap list of length L, symbols s_{N-1}
+# down to s_{N-L} are enumerated with the per-layer caps applied (best-weight
+# survivors kept, ties broken lexicographically) and the remaining low
+# symbols are estimated by rail quantization.  4x4 keeps the best 8
+# survivors at each of its two middle layers for either modulation; 6x6
+# keeps 16/8/4 (16-QAM) or 32/32/16 (64-QAM) at its three.  N <= 2 has no
+# middle layers and needs no entry.
+KBEST_CAPS = {
+    (4, 16): (8, 8),
+    (4, 64): (8, 8),
+    (6, 16): (16, 8, 4),
+    (6, 64): (32, 32, 16),
+}
 
 
 def recompute_weight(p: LatticeProblem, x) -> float:
@@ -210,8 +179,7 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
     )
 
 
-def sd_conventional(p: LatticeProblem, c: Constellation,
-                    policy: RadiusPolicy | None = None):
+def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     """Depth-first sphere decoder on the stacked representation.
 
     Classic depth-first tree search: starting at level 2N, each node's
@@ -230,8 +198,6 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
     """
     if p.representation is not Representation.STACKED:
         raise ValueError("sd_conventional requires the stacked representation")
-    if policy is None:
-        policy = RadiusPolicy(initial_sq=p.radius_sq)
 
     m = 2 * p.n
     rows = p.r.tolist()
@@ -312,9 +278,8 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
     )
 
 
-def sd_proposed(p: LatticeProblem, c: Constellation,
-                policy: RadiusPolicy | None = None,
-                schedule: KBestSchedule | None = None):
+def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
+                caps=None):
     """Reduced-complexity decoder for the interleaved representation.
 
     Relies on the exact zeros r[l-1, l] (even l) of the interleaved R, which
@@ -325,7 +290,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
        the radius survives.
     2. For N >= 3, each middle symbol is expanded into its mu^2 rail pairs
        (two decoupled one-dimensional metrics per prefix), pruned by the
-       cumulative radius test, and capped with the schedule's best-k rule.
+       cumulative radius test, and capped at the layer's entry of
+       ``caps``, the best-weight survivors kept.
     3. The remaining low symbols are estimated per surviving prefix by rail
        quantization of the interference-cancelled values, accumulating the
        exact leaf weight; leaves inside the sphere compete and the lowest
@@ -341,19 +307,28 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
     For N <= 2 the quantization step is exact, so the returned weight equals
     :func:`ml_exhaustive`'s on every input.  Empty survivor sets trigger the
     radius policy's restarts, ending in an unconstrained pass.
+
+    ``caps`` lists one survivor cap per middle symbol layer, top layer
+    first, for 1 to N - 2 layers; it defaults to the ``KBEST_CAPS`` entry
+    for (N, order), and to no layers at N <= 2.
     """
     if p.representation is not Representation.INTERLEAVED:
         raise ValueError("sd_proposed requires the interleaved representation")
-    if policy is None:
-        policy = RadiusPolicy(initial_sq=p.radius_sq)
-    if schedule is None:
-        schedule = KBestSchedule.default()
-    caps = schedule.caps_for(p.n, c.order)
-
     n = p.n
+    layers = max(n - 2, 0)  # middle symbol layers
+    if caps is None:
+        caps = KBEST_CAPS.get((n, c.order), ())
+        if layers and not caps:
+            raise ValueError(f"no K-best caps defined for N={n}, {c.order}-QAM")
+    if any(cap < 1 for cap in caps):
+        raise ValueError(f"K-best caps {tuple(caps)} must all be >= 1")
+    if len(caps) > layers or layers and not caps:
+        raise ValueError(f"N={n} has {layers} middle symbol layers, "
+                         f"got {len(caps)} K-best caps")
+
     m = 2 * n
-    rows = [[float(v) for v in p.r[i]] for i in range(m)]
-    yh = [float(v) for v in p.y_hat]
+    rows = p.r.tolist()
+    yh = p.y_hat.tolist()
     rail = c.rail
     mu = c.mu
     low_syms = range(n - 1 - len(caps), 0, -1)

@@ -79,15 +79,15 @@ class RadiusPolicy:
 class LatticeProblem:
     """QR-reduced detection problem min ||y_hat - R x||^2 over the rail set.
 
-    ``r`` is 2N x 2N upper triangular with positive diagonal, ``y_hat`` the
-    rotated receive vector, and ``radius_sq`` the initial squared sphere
-    radius.  For the interleaved representation r[k, k+1] == 0.0 exactly for
-    even 0-based k.  ``preproc_flops`` records the QR + rotation cost.
+    ``r`` is 2N x 2N upper triangular with positive diagonal and ``y_hat``
+    the rotated receive vector.  For the interleaved representation
+    r[k, k+1] == 0.0 exactly for even 0-based k.  ``preproc_flops`` records
+    the QR + rotation cost.  The search radius is not part of the problem:
+    each tree detector takes its :class:`RadiusPolicy`.
     """
 
     r: np.ndarray
     y_hat: np.ndarray
-    radius_sq: float
     representation: Representation
     n: int
     preproc_flops: int = 0
@@ -140,25 +140,20 @@ def to_pair_order(x_rep, representation):
     return out
 
 
-def build_problem(h, y, sigma_sq, representation, policy=None):
+def build_problem(h, y, representation):
     """Assemble the QR-reduced problem for one channel use.
 
     Permutes the interleaved real form and the pair-ordered receive vector
     into the representation's symbol order, then applies Gram-Schmidt QR
     (with structural zero forcing for the interleaved form) and the q^T
-    rotation of the receive vector.  ``policy`` defaults to the
-    2N-dimension noise radius.  Propagates
+    rotation of the receive vector.  Propagates
     :class:`~spheredec.linalg.DegenerateChannelError` for rank-deficient
     draws so the caller can redraw the channel.
     """
     h = _square_complex(h)
-    if sigma_sq <= 0:
-        raise ValueError("sigma_sq must be positive")
     n = h.shape[0]
     if len(np.asarray(y)) != n:
         raise ValueError("received vector length does not match the channel")
-    if policy is None:
-        policy = RadiusPolicy.for_noise(sigma_sq, n)
     order = symbol_order(n, representation)
     factors = gram_schmidt_qr(interleave(h)[np.ix_(order, order)],
                               pair_zeros=representation is Representation.INTERLEAVED)
@@ -166,7 +161,6 @@ def build_problem(h, y, sigma_sq, representation, policy=None):
     return LatticeProblem(
         r=factors.r,
         y_hat=y_hat,
-        radius_sq=policy.initial_sq,
         representation=representation,
         n=n,
         preproc_flops=preprocessing_flops(2 * n),

@@ -28,7 +28,6 @@ import numpy as np
 
 from .detectors import (
     ML_CANDIDATE_GUARD,
-    KBestSchedule,
     ml_exhaustive,
     sd_conventional,
     sd_proposed,
@@ -204,7 +203,6 @@ class _Point:
     c: Constellation
     sigma_sq: float
     policy: RadiusPolicy
-    schedule: KBestSchedule
 
 
 def _point(cfg, snr_db):
@@ -212,8 +210,7 @@ def _point(cfg, snr_db):
     sigma_sq = sigma_for_snr(snr_db, c, cfg.n_antennas)
     policy = RadiusPolicy.for_noise(sigma_sq, cfg.n_antennas,
                                     dimension=cfg.radius_dimension)
-    return _Point(c=c, sigma_sq=sigma_sq, policy=policy,
-                  schedule=KBestSchedule.default())
+    return _Point(c=c, sigma_sq=sigma_sq, policy=policy)
 
 
 def run_trial(rng, cfg, snr_db, point=None):
@@ -235,8 +232,7 @@ def run_trial(rng, cfg, snr_db, point=None):
     for _ in range(_MAX_REDRAWS):
         inst = draw_instance(rng, cfg, point.sigma_sq)
         try:
-            problems = {rep: build_problem(inst.h, inst.y, point.sigma_sq, rep, point.policy)
-                        for rep in reps}
+            problems = {rep: build_problem(inst.h, inst.y, rep) for rep in reps}
         except DegenerateChannelError:
             continue
         break
@@ -251,7 +247,7 @@ def run_trial(rng, cfg, snr_db, point=None):
         elif name == "sd-conv":
             result = sd_conventional(problem, c, point.policy)
         else:
-            result = sd_proposed(problem, c, point.policy, point.schedule)
+            result = sd_proposed(problem, c, point.policy)
         x_hat_pair = to_pair_order(result.x_hat, problem.representation)
         bits_hat = symbols_to_bits(x_hat_pair, c)
         true_pair = inst.x_pair

@@ -17,8 +17,7 @@ from spheredec.lattice import LatticeProblem, RadiusPolicy, Representation
 from spheredec.modem import Constellation
 
 
-def sd_conventional(p: LatticeProblem, c: Constellation,
-                    policy: RadiusPolicy | None = None):
+def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     """Depth-first sphere decoder on the stacked representation.
 
     Classic depth-first tree search: starting at level 2N, each node's
@@ -31,8 +30,6 @@ def sd_conventional(p: LatticeProblem, c: Constellation,
     """
     if p.representation is not Representation.STACKED:
         raise ValueError("sd_conventional requires the stacked representation")
-    if policy is None:
-        policy = RadiusPolicy(initial_sq=p.radius_sq)
 
     m = 2 * p.n
     rows = [[float(v) for v in p.r[i]] for i in range(m)]

@@ -10,14 +10,13 @@ executes.  ``tests/test_equivalence.py`` requires the detector in
 
 import numpy as np
 
-from spheredec.detectors import DetectionResult, KBestSchedule, _check_weight, recompute_weight
+from spheredec.detectors import KBEST_CAPS, DetectionResult, _check_weight, recompute_weight
 from spheredec.lattice import LatticeProblem, RadiusPolicy, Representation
 from spheredec.modem import Constellation, quantize_rail
 
 
-def sd_proposed(p: LatticeProblem, c: Constellation,
-                policy: RadiusPolicy | None = None,
-                schedule: KBestSchedule | None = None):
+def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
+                caps=None):
     """Reduced-complexity decoder for the interleaved representation.
 
     Relies on the exact zeros r[l-1, l] (even l) of the interleaved R, which
@@ -40,11 +39,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation,
     """
     if p.representation is not Representation.INTERLEAVED:
         raise ValueError("sd_proposed requires the interleaved representation")
-    if policy is None:
-        policy = RadiusPolicy(initial_sq=p.radius_sq)
-    if schedule is None:
-        schedule = KBestSchedule.default()
-    caps = schedule.caps_for(p.n, c.order)
+    if caps is None:
+        caps = KBEST_CAPS[(p.n, c.order)] if p.n >= 3 else ()
 
     n = p.n
     m = 2 * n

@@ -83,8 +83,7 @@ def test_criterion_2_conventional_sd_exactness():
                 rng = trial_rng(1002 + n, snr_idx, t)
                 inst = draw_instance(rng, cfg, sigma_sq)
                 pol = RadiusPolicy.for_noise(sigma_sq, n)
-                p = build_problem(inst.h, inst.y, sigma_sq,
-                                  Representation.STACKED, pol)
+                p = build_problem(inst.h, inst.y, Representation.STACKED)
                 a = ml_exhaustive(p, c)
                 b = sd_conventional(p, c, pol)
                 checked += 1
@@ -108,8 +107,7 @@ def test_criterion_3_proposed_sd_optimal_n2():
                 rng = trial_rng(1003 + order, snr_idx, t)
                 inst = draw_instance(rng, cfg, sigma_sq)
                 pol = RadiusPolicy.for_noise(sigma_sq, 2)
-                p = build_problem(inst.h, inst.y, sigma_sq,
-                                  Representation.INTERLEAVED, pol)
+                p = build_problem(inst.h, inst.y, Representation.INTERLEAVED)
                 a = ml_exhaustive(p, c)
                 b = sd_proposed(p, c, pol)
                 checked += 1
@@ -183,7 +181,7 @@ def test_criterion_7_property_suite():
             bits = rng.integers(0, 2, size=4 * n)
             x = to_representation_order(bits_to_symbols(bits, c16, n), rep).astype(float)
             y = h @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-            p = build_problem(h, y, 1.0, rep)
+            p = build_problem(h, y, rep)
             h_re = interleave(h) if rep is Representation.INTERLEAVED else stack_real(h)
             direct = float(np.sum((reorder_received(y, rep) - h_re @ x) ** 2))
             rotated = float(np.sum((p.y_hat - p.r @ x) ** 2))
@@ -214,8 +212,8 @@ def test_criterion_7_property_suite():
     for t in range(20):
         inst = draw_instance(trial_rng(1007, 0, t), cfg, sigma_sq)
         pol = RadiusPolicy.for_noise(sigma_sq, 2)
-        ps = build_problem(inst.h, inst.y, sigma_sq, Representation.STACKED, pol)
-        pi = build_problem(inst.h, inst.y, sigma_sq, Representation.INTERLEAVED, pol)
+        ps = build_problem(inst.h, inst.y, Representation.STACKED)
+        pi = build_problem(inst.h, inst.y, Representation.INTERLEAVED)
         sd_conventional(ps, c16, pol)
         sd_proposed(pi, c16, pol)
 

@@ -99,6 +99,9 @@ class TestParseArgs:
         ([], {"LATTICE_SD_THREADS": "0"}),
         (["--detector", "sd-conv", "--detector", "sd-conv"], {}),
         (["--detector", "ml", "--n", "6", "--mod", "64qam"], {}),
+        (["--snr", "5:0:15"], {}),
+        (["--snr", "15:2:5"], {}),
+        (["--trials", "0"], {}),
     ])
     def test_bad_input_fails_fast(self, args, env):
         # a child interpreter under -O, so a hang cannot stall the suite and

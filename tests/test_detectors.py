@@ -9,7 +9,7 @@ import pytest
 
 from spheredec.detectors import (
     DetectionResult,
-    KBestSchedule,
+    KBEST_CAPS,
     ml_exhaustive,
     recompute_weight,
     sd_conventional,
@@ -63,7 +63,7 @@ class TestMlExhaustive:
         for rep in Representation:
             h, _, x_pair = random_instance(rng, 2, c, 1.0)
             y = h @ rails_to_complex(x_pair)
-            p = build_problem(h, y, 1.0, rep)
+            p = build_problem(h, y, rep)
             res = ml_exhaustive(p, c)
             assert np.array_equal(res.x_hat, to_representation_order(x_pair, rep))
             assert res.weight < 1e-12
@@ -73,7 +73,7 @@ class TestMlExhaustive:
         c = make_constellation(16)
         for _ in range(25):
             h, y, _ = random_instance(rng, 2, c, 2.0)
-            p = build_problem(h, y, 2.0, Representation.STACKED)
+            p = build_problem(h, y, Representation.STACKED)
             res = ml_exhaustive(p, c)
             w_oracle, x_oracle = brute_force_pre_rotation(h, y, c, 2, Representation.STACKED)
             assert np.array_equal(res.x_hat, x_oracle)
@@ -86,8 +86,8 @@ class TestMlExhaustive:
         c = make_constellation(16)
         for _ in range(20):
             h, y, _ = random_instance(rng, 2, c, 5.0)
-            xs = ml_exhaustive(build_problem(h, y, 5.0, Representation.STACKED), c).x_hat
-            xi = ml_exhaustive(build_problem(h, y, 5.0, Representation.INTERLEAVED), c).x_hat
+            xs = ml_exhaustive(build_problem(h, y, Representation.STACKED), c).x_hat
+            xi = ml_exhaustive(build_problem(h, y, Representation.INTERLEAVED), c).x_hat
             assert np.array_equal(to_pair_order(xs, Representation.STACKED),
                                   to_pair_order(xi, Representation.INTERLEAVED))
 
@@ -95,7 +95,7 @@ class TestMlExhaustive:
         rng = np.random.default_rng(53)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1e6)
-        p = build_problem(h, y, 1e6, Representation.STACKED)
+        p = build_problem(h, y, Representation.STACKED)
         res = ml_exhaustive(p, c)
         assert np.all(np.isin(res.x_hat, c.rail))
         assert np.isfinite(res.weight)
@@ -104,7 +104,7 @@ class TestMlExhaustive:
         rng = np.random.default_rng(54)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
-        p = build_problem(h, y, 1.0, Representation.STACKED)
+        p = build_problem(h, y, Representation.STACKED)
         res = ml_exhaustive(p, c)
         assert res.nodes_visited == 4 ** 4 == 256
         assert res.comparisons == 256
@@ -114,7 +114,7 @@ class TestMlExhaustive:
         rng = np.random.default_rng(55)
         c = make_constellation(64)
         h, y, _ = random_instance(rng, 6, c, 1.0)
-        p = build_problem(h, y, 1.0, Representation.STACKED)
+        p = build_problem(h, y, Representation.STACKED)
         with pytest.raises(ValueError, match="guard"):
             ml_exhaustive(p, c)
 
@@ -125,8 +125,8 @@ class TestSdConventional:
         c = make_constellation(16)
         h, _, x_pair = random_instance(rng, 2, c, 1.0)
         y = h @ rails_to_complex(x_pair)
-        p = build_problem(h, y, 1e-9, Representation.STACKED)
-        res = sd_conventional(p, c)
+        p = build_problem(h, y, Representation.STACKED)
+        res = sd_conventional(p, c, RadiusPolicy.for_noise(1e-9, 2))
         assert np.array_equal(res.x_hat,
                               to_representation_order(x_pair, Representation.STACKED))
         assert res.weight < 1e-12
@@ -138,7 +138,7 @@ class TestSdConventional:
         for _ in range(120):
             h, y, _ = random_instance(rng, 2, c, sigma_sq)
             pol = RadiusPolicy.for_noise(sigma_sq, 2)
-            p = build_problem(h, y, sigma_sq, Representation.STACKED, pol)
+            p = build_problem(h, y, Representation.STACKED)
             a = ml_exhaustive(p, c)
             b = sd_conventional(p, c, pol)
             assert b.weight == a.weight
@@ -149,7 +149,7 @@ class TestSdConventional:
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
         pol = RadiusPolicy(initial_sq=1e-12, growth=2.0, max_restarts=5)
-        p = build_problem(h, y, 1.0, Representation.STACKED, pol)
+        p = build_problem(h, y, Representation.STACKED)
         res = sd_conventional(p, c, pol)
         ml = ml_exhaustive(p, c)
         assert res.restarts >= 1
@@ -159,9 +159,9 @@ class TestSdConventional:
         rng = np.random.default_rng(63)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
-        p = build_problem(h, y, 1.0, Representation.INTERLEAVED)
+        p = build_problem(h, y, Representation.INTERLEAVED)
         with pytest.raises(ValueError, match="stacked"):
-            sd_conventional(p, c)
+            sd_conventional(p, c, RadiusPolicy.for_noise(1.0, 2))
 
     def test_counter_regression_hand_derived(self):
         # R = I2, y_hat = [0.125, 0.25] (exact binary), rail (-3,-1,1,3),
@@ -172,7 +172,7 @@ class TestSdConventional:
         # top 2, bottom 3 -> 4*2 + 12*3 = 44 each.  One exact weight tie
         # (1.5625 + 9.765625 == 11.328125) is pruned by the strict test.
         p = LatticeProblem(r=np.eye(2), y_hat=np.array([0.125, 0.25]),
-                           radius_sq=1e9, representation=Representation.STACKED, n=1)
+                           representation=Representation.STACKED, n=1)
         c = make_constellation(16)
         res = sd_conventional(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, 1]))
@@ -192,7 +192,7 @@ class TestSdConventional:
         # x_top=1 both ends land on x=-1 and x=1, both pruned the same way.
         # Three expanded nodes, each charged all 4 rails: 4 top + 8 bottom
         # nodes, adds and mults 4*2 + 8*3 = 32.
-        p = LatticeProblem(r=np.eye(2), y_hat=np.zeros(2), radius_sq=4.0,
+        p = LatticeProblem(r=np.eye(2), y_hat=np.zeros(2),
                            representation=Representation.STACKED, n=1)
         c = make_constellation(16)
         res = sd_conventional(p, c, RadiusPolicy(initial_sq=4.0))
@@ -213,7 +213,7 @@ class TestSdProposed:
             for _ in range(60):
                 h, y, _ = random_instance(rng, 2, c, sigma_sq)
                 pol = RadiusPolicy.for_noise(sigma_sq, 2)
-                p = build_problem(h, y, sigma_sq, Representation.INTERLEAVED, pol)
+                p = build_problem(h, y, Representation.INTERLEAVED)
                 a = ml_exhaustive(p, c)
                 b = sd_proposed(p, c, pol)
                 assert b.weight == a.weight
@@ -224,7 +224,7 @@ class TestSdProposed:
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
         pol = RadiusPolicy(initial_sq=1e-12, growth=2.0, max_restarts=4)
-        p = build_problem(h, y, 1.0, Representation.INTERLEAVED, pol)
+        p = build_problem(h, y, Representation.INTERLEAVED)
         res = sd_proposed(p, c, pol)
         ml = ml_exhaustive(p, c)
         assert res.restarts >= 1
@@ -234,9 +234,9 @@ class TestSdProposed:
         rng = np.random.default_rng(72)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
-        p = build_problem(h, y, 1.0, Representation.STACKED)
+        p = build_problem(h, y, Representation.STACKED)
         with pytest.raises(ValueError, match="interleaved"):
-            sd_proposed(p, c)
+            sd_proposed(p, c, RadiusPolicy.for_noise(1.0, 2))
 
     def test_n4_valid_and_near_ml(self):
         rng = np.random.default_rng(73)
@@ -246,8 +246,8 @@ class TestSdProposed:
         for _ in range(60):
             h, y, _ = random_instance(rng, 4, c, sigma_sq)
             pol = RadiusPolicy.for_noise(sigma_sq, 4)
-            ps = build_problem(h, y, sigma_sq, Representation.STACKED, pol)
-            pi = build_problem(h, y, sigma_sq, Representation.INTERLEAVED, pol)
+            ps = build_problem(h, y, Representation.STACKED)
+            pi = build_problem(h, y, Representation.INTERLEAVED)
             ml = ml_exhaustive(ps, c)
             res = sd_proposed(pi, c, pol)
             assert np.all(np.isin(res.x_hat, c.rail))
@@ -265,8 +265,8 @@ class TestSdProposed:
         for _ in range(200):
             h, y, _ = random_instance(rng, 2, c, sigma_sq)
             pol = RadiusPolicy.for_noise(sigma_sq, 2)
-            ps = build_problem(h, y, sigma_sq, Representation.STACKED, pol)
-            pi = build_problem(h, y, sigma_sq, Representation.INTERLEAVED, pol)
+            ps = build_problem(h, y, Representation.STACKED)
+            pi = build_problem(h, y, Representation.INTERLEAVED)
             total_conv += sd_conventional(ps, c, pol).nodes_visited
             total_new += sd_proposed(pi, c, pol).nodes_visited
         assert total_new < total_conv
@@ -279,7 +279,7 @@ class TestSdProposed:
         # (1 comparison each).  Totals: adds 8+16, mults 16, nodes 8,
         # comparisons 8 + 16 + 16.
         p = LatticeProblem(r=np.eye(2), y_hat=np.array([0.125, 0.25]),
-                           radius_sq=1e9, representation=Representation.INTERLEAVED, n=1)
+                           representation=Representation.INTERLEAVED, n=1)
         c = make_constellation(16)
         res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, 1]))
@@ -308,10 +308,9 @@ class TestSdProposed:
         # nodes 8+128+4 = 140, comparisons 8+16+256+6 = 286.
         p = LatticeProblem(r=np.eye(6),
                            y_hat=np.array([0.125, -0.25, 2.5, -2.25, 0.75, -1.5]),
-                           radius_sq=1e9, representation=Representation.INTERLEAVED, n=3)
+                           representation=Representation.INTERLEAVED, n=3)
         c = make_constellation(16)
-        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9),
-                          KBestSchedule({(3, 16): (2,)}))
+        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9), caps=(2,))
         assert np.array_equal(res.x_hat, np.array([1, -1, 3, -3, 1, -1]))
         assert res.weight == 2.453125
         assert res.nodes_visited == 140
@@ -329,7 +328,7 @@ class TestSdProposed:
         # with the best leaf.
         r = np.eye(4)
         r[1, 3] = r[0, 3] = -1.5
-        p = LatticeProblem(r=r, y_hat=np.array([2.5, 2.5, 1.0, 0.5]), radius_sq=1e9,
+        p = LatticeProblem(r=r, y_hat=np.array([2.5, 2.5, 1.0, 0.5]),
                            representation=Representation.INTERLEAVED, n=2)
         c = make_constellation(16)
         res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9))
@@ -343,7 +342,7 @@ class TestSdProposed:
         rng = np.random.default_rng(75)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 3, c, 1.0)
-        p = build_problem(h, y, 1.0, Representation.INTERLEAVED)
+        p = build_problem(h, y, Representation.INTERLEAVED)
         m = 6
         for l_odd in (1, 3, 5):  # 1-indexed odd levels
             j_re, j_im = l_odd - 1, l_odd  # 0-based row of level l, l+1
@@ -360,26 +359,40 @@ class TestSdProposed:
 
 
 class TestKBestSchedule:
+    def _problem(self, n):
+        h, y, _ = random_instance(np.random.default_rng(76), n, make_constellation(16), 1.0)
+        return build_problem(h, y, Representation.INTERLEAVED)
+
     def test_default_lookups(self):
-        sched = KBestSchedule.default()
-        assert sched.caps_for(4, 16) == (8, 8)
-        assert sched.caps_for(4, 64) == (8, 8)
-        assert sched.caps_for(6, 16) == (16, 8, 4)
-        assert sched.caps_for(6, 64) == (32, 32, 16)
+        assert KBEST_CAPS == {
+            (4, 16): (8, 8),
+            (4, 64): (8, 8),
+            (6, 16): (16, 8, 4),
+            (6, 64): (32, 32, 16),
+        }
 
     def test_n2_empty(self):
-        assert KBestSchedule.default().caps_for(2, 16) == ()
-        assert KBestSchedule.default().caps_for(1, 64) == ()
+        c = make_constellation(16)
+        p = self._problem(2)
+        pol = RadiusPolicy.for_noise(1.0, 2)
+        a, b = sd_proposed(p, c, pol), sd_proposed(p, c, pol, caps=())
+        assert np.array_equal(a.x_hat, b.x_hat)
+        assert (a.weight, a.nodes_visited, a.flops) == (b.weight, b.nodes_visited, b.flops)
+        with pytest.raises(ValueError, match="0 middle symbol layers, got 1"):
+            sd_proposed(p, c, pol, caps=(4,))
 
     def test_undefined_combination(self):
-        with pytest.raises(ValueError, match="schedule"):
-            KBestSchedule.default().caps_for(3, 16)
+        with pytest.raises(ValueError, match="no K-best caps defined for N=3, 16-QAM"):
+            sd_proposed(self._problem(3), make_constellation(16), RadiusPolicy.for_noise(1.0, 3))
 
     def test_invalid_caps_rejected(self):
+        p, c, pol = self._problem(4), make_constellation(16), RadiusPolicy.for_noise(1.0, 4)
         with pytest.raises(ValueError, match=">= 1"):
-            KBestSchedule({(4, 16): (8, 0)})
-        with pytest.raises(ValueError, match="longer"):
-            KBestSchedule({(4, 16): (8, 8, 8)})
+            sd_proposed(p, c, pol, caps=(8, 0))
+        with pytest.raises(ValueError, match="2 middle symbol layers, got 3"):
+            sd_proposed(p, c, pol, caps=(8, 8, 8))
+        with pytest.raises(ValueError, match="2 middle symbol layers, got 0"):
+            sd_proposed(p, c, pol, caps=())
 
 
 class TestRecomputeWeight:
@@ -388,7 +401,7 @@ class TestRecomputeWeight:
         c = make_constellation(16)
         h, _, x_pair = random_instance(rng, 2, c, 1.0)
         y = h @ rails_to_complex(x_pair)
-        p = build_problem(h, y, 1.0, Representation.STACKED)
+        p = build_problem(h, y, Representation.STACKED)
         x = to_representation_order(x_pair, Representation.STACKED)
         assert recompute_weight(p, x) < 1e-12
 
@@ -397,7 +410,7 @@ class TestRecomputeWeight:
         c = make_constellation(16)
         for _ in range(30):
             h, y, _ = random_instance(rng, 3, c, 2.0)
-            p = build_problem(h, y, 2.0, Representation.INTERLEAVED)
+            p = build_problem(h, y, Representation.INTERLEAVED)
             bits = rng.integers(0, 2, size=12)
             x = to_representation_order(bits_to_symbols(bits, c, 3),
                                         Representation.INTERLEAVED).astype(float)
@@ -409,8 +422,8 @@ class TestRecomputeWeight:
         rng = np.random.default_rng(82)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
-        p = build_problem(h, y, 1.0, Representation.INTERLEAVED)
-        res = sd_proposed(p, c)
+        p = build_problem(h, y, Representation.INTERLEAVED)
+        res = sd_proposed(p, c, RadiusPolicy.for_noise(1.0, 2))
         assert res.weight == recompute_weight(p, res.x_hat)
         assert isinstance(res, DetectionResult)
 

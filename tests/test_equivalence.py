@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheredec.detectors import KBestSchedule, ml_exhaustive, sd_conventional, sd_proposed
+from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed
 from spheredec.lattice import LatticeProblem, RadiusPolicy, Representation, build_problem
 from spheredec.modem import make_constellation
 from spheredec.sim import SimConfig, draw_instance, sigma_for_snr, trial_rng
@@ -53,7 +53,7 @@ def seeded_problems(n, order, snr_db, dimension, trials, policy=None,
         policy = RadiusPolicy.for_noise(sigma_sq, n, dimension=dimension)
     for t in range(trials):
         inst = draw_instance(trial_rng(7, n * 1000 + order, t), cfg, sigma_sq)
-        yield build_problem(inst.h, inst.y, sigma_sq, representation, policy), policy
+        yield build_problem(inst.h, inst.y, representation), policy
 
 
 @st.composite
@@ -72,8 +72,7 @@ def dyadic_problems(draw, max_n, representation, pair_zeros=True):
     y_hat = np.array(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))) / 2
     radius_sq = draw(st.sampled_from([0.25, 1.0, 4.0, 16.0, 1e9]))
     c = make_constellation(draw(st.sampled_from([16, 64])))
-    p = LatticeProblem(r=r, y_hat=y_hat, radius_sq=radius_sq,
-                       representation=representation, n=n)
+    p = LatticeProblem(r=r, y_hat=y_hat, representation=representation, n=n)
     return p, c, RadiusPolicy(initial_sq=radius_sq, growth=4.0, max_restarts=3)
 
 
@@ -106,9 +105,8 @@ class TestProposedMatchesReference:
         p, c, policy = case
         caps = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=p.n - 2)
                          if p.n >= 3 else st.just([]))
-        schedule = KBestSchedule({(p.n, c.order): caps} if caps else {})
-        assert_same_result(sd_proposed(p, c, policy, schedule),
-                           reference_sd_proposed.sd_proposed(p, c, policy, schedule))
+        assert_same_result(sd_proposed(p, c, policy, caps),
+                           reference_sd_proposed.sd_proposed(p, c, policy, caps))
 
 
 class TestConventionalMatchesMl:

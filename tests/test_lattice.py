@@ -147,14 +147,9 @@ class TestBuildProblem:
         s = rails_to_complex(x_pair)
         return h, s, x_pair
 
-    def test_radius_default(self):
-        h, s, _ = self._instance(2)
-        p = build_problem(h, h @ s, 0.5, Representation.STACKED)
-        assert p.radius_sq == 4.0
-
     def test_interleaved_invariant(self):
         h, s, _ = self._instance(3)
-        p = build_problem(h, h @ s, 1.0, Representation.INTERLEAVED)
+        p = build_problem(h, h @ s, Representation.INTERLEAVED)
         assert isinstance(p, LatticeProblem)
         for k in range(0, 6, 2):
             assert p.r[k, k + 1] == 0.0
@@ -162,7 +157,7 @@ class TestBuildProblem:
     def test_noiseless_residual(self):
         for rep in Representation:
             h, s, x_pair = self._instance(2)
-            p = build_problem(h, h @ s, 1.0, rep)
+            p = build_problem(h, h @ s, rep)
             x = to_representation_order(x_pair, rep).astype(float)
             assert np.linalg.norm(p.y_hat - p.r @ x) < 1e-9
 
@@ -170,7 +165,7 @@ class TestBuildProblem:
         h, s, _ = self._instance(3)
         y = h @ s + 0.3 * (self.rng.standard_normal(3) + 1j * self.rng.standard_normal(3))
         for rep in Representation:
-            p = build_problem(h, y, 1.0, rep)
+            p = build_problem(h, y, rep)
             assert abs(np.linalg.norm(p.y_hat) - np.linalg.norm(y)) < 1e-9
 
     def test_objective_equivalence(self):
@@ -181,7 +176,7 @@ class TestBuildProblem:
                 n = int(self.rng.integers(2, 5))
                 h, s, _ = self._instance(n)
                 y = h @ s + (self.rng.standard_normal(n) + 1j * self.rng.standard_normal(n))
-                p = build_problem(h, y, 1.0, rep)
+                p = build_problem(h, y, rep)
                 bits = self.rng.integers(0, 2, size=2 * n * self.c.bits_per_rail)
                 x = to_representation_order(
                     bits_to_symbols(bits, self.c, n), rep).astype(float)
@@ -192,9 +187,8 @@ class TestBuildProblem:
     def test_degenerate_channel_propagates(self):
         h = np.ones((2, 2), dtype=complex)
         with pytest.raises(DegenerateChannelError):
-            build_problem(h, np.ones(2, dtype=complex), 1.0, Representation.STACKED)
+            build_problem(h, np.ones(2, dtype=complex), Representation.STACKED)
 
     def test_bad_sigma(self):
-        h, s, _ = self._instance(2)
-        with pytest.raises(ValueError, match="sigma"):
-            build_problem(h, h @ s, 0.0, Representation.STACKED)
+        with pytest.raises(ValueError, match="initial_sq"):
+            RadiusPolicy.for_noise(0.0, 2)
