@@ -38,6 +38,7 @@ Search conventions shared by the tree detectors:
   the weight bit-for-bit.
 """
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -140,30 +141,21 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
             f"exhaustive search over {c.mu}^{m} = {total} candidates exceeds "
             f"the {ML_CANDIDATE_GUARD} guard"
         )
-    rail = np.asarray(c.rail, dtype=float)
     rt = p.r.T.copy()
     y_hat = p.y_hat
-    shape = (c.mu,) * m
 
     best_w = math.inf
-    best_idx = -1
+    best_x = None
     for lo in range(0, total, _ML_CHUNK):
-        hi = min(lo + _ML_CHUNK, total)
-        digits = np.unravel_index(np.arange(lo, hi), shape)
-        # axis 0 varies slowest and holds the top level 2N = symbol index m-1
-        x_chunk = np.empty((hi - lo, m))
-        for j in range(m):
-            x_chunk[:, j] = rail[digits[m - 1 - j]]
+        x_chunk = _ml_candidates(c.rail, m, lo, min(lo + _ML_CHUNK, total))
         res = y_hat[None, :] - x_chunk @ rt
         w = np.einsum("ij,ij->i", res, res)
         k = int(np.argmin(w))
         if w[k] < best_w:
             best_w = float(w[k])
-            best_idx = lo + k
+            best_x = x_chunk[k].copy()
 
-    digits = np.unravel_index(best_idx, shape)
-    x_hat = np.array([c.rail[digits[m - 1 - j]] for j in range(m)], dtype=int)
-
+    x_hat = best_x.astype(int)
     per_cand = m * (m + 1) // 2 + m  # sum of (terms + 1) over all rows
     weight = recompute_weight(p, x_hat)
     _check_weight(best_w, weight)
@@ -177,6 +169,20 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
         divs=0,
         comparisons=total,
     )
+
+
+@functools.lru_cache(maxsize=2)
+def _ml_candidates(rail, m, lo, hi):
+    """Rows lo..hi-1 of the exhaustive candidate list, read-only: candidate
+    i holds the rail levels of the base-mu digits of i, the most
+    significant digit at the top level 2N (column m-1)."""
+    digits = np.unravel_index(np.arange(lo, hi), (len(rail),) * m)
+    levels = np.asarray(rail, dtype=float)
+    x = np.empty((hi - lo, m))
+    for j in range(m):
+        x[:, j] = levels[digits[m - 1 - j]]
+    x.flags.writeable = False
+    return x
 
 
 def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
@@ -246,15 +252,16 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
                 assert w >= w_prefix  # partial metrics never decrease
                 if w < d2:
                     xv[j] = omega
+                    radius = d2
                     if j:
                         dfs(j - 1, w)
                     else:
                         d2 = w
                         best_w = w
                         best_x = xv.copy()
-                    # the radius may have shrunk: pull in the upper end
-                    half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
-                    hi = min(hi, floor(0.5 * (center + half)))
+                    if d2 < radius:  # the radius shrank: pull in the upper end
+                        half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
+                        hi = min(hi, floor(0.5 * (center + half)))
 
         dfs(m - 1, 0.0)
         if best_x is not None:

@@ -97,8 +97,7 @@ def stack_real(h):
     """Complex N x N channel -> stacked 2N x 2N real form: the interleaved
     form with rows and columns permuted into the stacked symbol order."""
     h = _square_complex(h)
-    order = symbol_order(len(h), Representation.STACKED)
-    return interleave(h)[np.ix_(order, order)]
+    return _interleave(h)[_stacked_grid(len(h))]
 
 
 def interleave(h):
@@ -108,7 +107,10 @@ def interleave(h):
     out[2m, 2n] = Re, out[2m, 2n+1] = -Im, out[2m+1, 2n] = Im,
     out[2m+1, 2n+1] = Re.
     """
-    h = _square_complex(h)
+    return _interleave(_square_complex(h))
+
+
+def _interleave(h):
     n = h.shape[0]
     out = np.empty((2 * n, 2 * n))
     out[0::2, 0::2] = h.real
@@ -132,6 +134,14 @@ def symbol_order(n, representation):
     return order
 
 
+@functools.cache
+def _stacked_grid(n):
+    """``np.ix_`` grid permuting a 2N x 2N interleaved matrix into the
+    stacked symbol order, built once per n."""
+    order = symbol_order(n, Representation.STACKED)
+    return np.ix_(order, order)
+
+
 def to_pair_order(x_rep, representation):
     x_rep = np.asarray(x_rep)
     n = len(x_rep) // 2
@@ -144,7 +154,8 @@ def build_problem(h, y, representation):
     """Assemble the QR-reduced problem for one channel use.
 
     Permutes the interleaved real form and the pair-ordered receive vector
-    into the representation's symbol order, then applies Gram-Schmidt QR
+    into the representation's symbol order (the interleaved form needs no
+    permutation), then applies Gram-Schmidt QR
     (with structural zero forcing for the interleaved form) and the q^T
     rotation of the receive vector.  Propagates
     :class:`~spheredec.linalg.DegenerateChannelError` for rank-deficient
@@ -154,10 +165,14 @@ def build_problem(h, y, representation):
     n = h.shape[0]
     if len(np.asarray(y)) != n:
         raise ValueError("received vector length does not match the channel")
-    order = symbol_order(n, representation)
-    factors = gram_schmidt_qr(interleave(h)[np.ix_(order, order)],
-                              pair_zeros=representation is Representation.INTERLEAVED)
-    y_hat = factors.q.T @ complex_to_rails(y)[order]
+    h_real = _interleave(h)
+    y_real = complex_to_rails(y)
+    pair_zeros = representation is Representation.INTERLEAVED
+    if not pair_zeros:
+        h_real = h_real[_stacked_grid(n)]
+        y_real = y_real[symbol_order(n, representation)]
+    factors = gram_schmidt_qr(h_real, pair_zeros=pair_zeros)
+    y_hat = factors.q.T @ y_real
     return LatticeProblem(
         r=factors.r,
         y_hat=y_hat,

@@ -11,6 +11,8 @@ Problem sizes here are tiny (at most 12 x 12), so conditioning of classical
 vs. modified Gram-Schmidt is not a concern.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,32 +73,45 @@ def gram_schmidt_qr(h, pair_zeros=False):
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     m = h.shape[0]
+    if pair_zeros and m % 2:
+        raise ValueError("pair-structured matrices must have even size")
     q = np.empty((m, m))
     r = np.zeros((m, m))
     for k in range(m):
-        u = h[:, k].copy()
+        hk = h[:, k]
         if k:
-            coeff = q[:, :k].T @ h[:, k]
+            qk = q[:, :k]
+            coeff = qk.T @ hk
             r[:k, k] = coeff
-            u -= q[:, :k] @ coeff
-        norm = float(np.sqrt(u @ u))
+            u = hk - qk @ coeff
+        else:
+            u = hk.copy()  # contiguous, so u @ u takes the same BLAS path
+        norm = math.sqrt(u @ u)
         if norm <= RANK_TOL:
             raise DegenerateChannelError(f"column {k} is numerically dependent")
         r[k, k] = norm
-        q[:, k] = u / norm
+        np.divide(u, norm, out=q[:, k])
 
     zmax = None
     if pair_zeros:
-        if m % 2:
-            raise ValueError("pair-structured matrices must have even size")
-        zmax = float(max(abs(r[k, k + 1]) for k in range(0, m, 2)))
-        if zmax >= PAIR_ZERO_TOL:
+        pairs = _pair_entries(m)
+        zmax = max(map(abs, r[pairs].tolist()))
+        if not zmax < PAIR_ZERO_TOL:
             raise ValueError(
                 f"pair zero structure violated: max |r[k,k+1]| = {zmax:.3e}"
             )
-        for k in range(0, m, 2):
-            r[k, k + 1] = 0.0
+        r[pairs] = 0.0
     return QrFactors(q=q, r=r, zero_structure_max=zmax)
+
+
+@functools.cache
+def _pair_entries(m):
+    """Index arrays of the entries r[k, k+1], even 0-based k, of an m x m R."""
+    rows = np.arange(0, m, 2)
+    rows.flags.writeable = False
+    cols = rows + 1
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def preprocessing_flops(m):

@@ -128,16 +128,15 @@ def quantize_rail(v, c):
 
 def rails_to_complex(x):
     """Pair-ordered rail vector -> complex symbol vector of length N."""
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)  # a contiguous copy, viewed as complex
     if x.ndim != 1 or len(x) % 2:
         raise ValueError(f"expected an even-length rail vector, got {x.shape}")
-    return x[0::2] + 1j * x[1::2]
+    return x.view(complex)
 
 
 def complex_to_rails(s):
     """Complex symbol vector -> pair-ordered rail vector of length 2N."""
-    s = np.asarray(s, dtype=complex)
-    out = np.empty(2 * len(s))
-    out[0::2] = s.real
-    out[1::2] = s.imag
-    return out
+    s = np.array(s, dtype=complex)  # a contiguous copy, viewed as rails
+    if s.ndim != 1:
+        raise ValueError(f"expected a symbol vector, got shape {s.shape}")
+    return s.view(float)

@@ -17,6 +17,7 @@ reruns, independent of which detectors run, and identical under parallel
 and sequential execution.
 """
 
+import functools
 import math
 import operator
 import os
@@ -49,6 +50,9 @@ _DETECTOR_REPRESENTATION = {
     "sd-conv": Representation.STACKED,
     "sd-new": Representation.INTERLEAVED,
 }
+
+# Per-real-dimension standard deviation of a unit-variance complex Gaussian.
+_HALF_SQRT = math.sqrt(0.5)
 
 # Redraw cap for numerically rank-deficient channel draws (measure zero).
 _MAX_REDRAWS = 100
@@ -100,7 +104,16 @@ class SimConfig:
             raise ValueError(
                 f"radius_dimension must be 'n' or '2n', got {self.radius_dimension!r}"
             )
-        mu = make_constellation(self.mod_order).mu  # rejects unsupported orders
+        c = make_constellation(self.mod_order)  # rejects unsupported orders
+        for snr_db in self.snr_points():
+            try:
+                sigma_sq = sigma_for_snr(snr_db, c, self.n_antennas)
+            except (OverflowError, ZeroDivisionError):
+                sigma_sq = math.nan
+            if not 0.0 < sigma_sq < math.inf:
+                raise ValueError(f"SNR {snr_db:g} dB gives a noise variance "
+                                 "that is not finite and positive")
+        mu = c.mu
         if "ml" in self.detectors:
             space = mu ** (2 * self.n_antennas)
             if space > ML_CANDIDATE_GUARD:
@@ -143,7 +156,7 @@ class Tally(NamedTuple):
     nodes: int = 0
 
     def __add__(self, other):
-        return Tally(*map(operator.add, self, other))
+        return Tally._make(map(operator.add, self, other))
 
 
 @dataclass(frozen=True)
@@ -165,9 +178,32 @@ class SweepRecord:
 
 
 def trial_rng(seed, snr_index, trial_index):
-    """Independent Philox stream for one (seed, SNR point, trial) cell."""
-    bg = np.random.Philox(key=seed, counter=[0, 0, snr_index, trial_index])
+    """Independent Philox stream for one (seed, SNR point, trial) cell:
+    key ``seed``, counter ``[0, 0, snr_index, trial_index]``."""
+    key = _philox_key_type()(seed)
+    bg = np.random.Philox(key, counter=[0, 0, snr_index, trial_index])
     return np.random.Generator(bg)
+
+
+@functools.cache
+def _philox_key_type():
+    """A seed sequence that hands Philox a 128-bit key as the two
+    little-endian 64-bit words ``Philox(key=seed)`` would make of it.  It
+    gives the same bit generator without the OS-entropy ``SeedSequence``
+    that ``Philox(key=...)`` builds and then discards.  Defined on first
+    use because numpy imports ``numpy.random`` lazily."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, seed):
+            self._words = np.array([seed % 2**64, seed >> 64], dtype=np.uint64)
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a Philox key is two 64-bit words")
+            return self._words.copy()
+
+    return PhiloxKey
 
 
 def draw_channel(rng, n):
@@ -175,8 +211,11 @@ def draw_channel(rng, n):
     entries (variance 0.5 per real dimension)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    scale = np.sqrt(0.5)
-    return scale * rng.standard_normal((n, n)) + 1j * scale * rng.standard_normal((n, n))
+    h = np.empty((n, n), dtype=complex)
+    h.real = rng.standard_normal((n, n))
+    h.imag = rng.standard_normal((n, n))
+    h *= _HALF_SQRT
+    return h
 
 
 def sigma_for_snr(snr_db, c, n):
@@ -192,17 +231,22 @@ def draw_instance(rng, cfg, sigma_sq):
     x_pair = bits_to_symbols(bits, c, n)
     s = rails_to_complex(x_pair)
     h = draw_channel(rng, n)
-    v = np.sqrt(sigma_sq / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    v = np.empty(n, dtype=complex)
+    v.real = rng.standard_normal(n)
+    v.imag = rng.standard_normal(n)
+    v *= math.sqrt(sigma_sq / 2.0)
     return ChannelInstance(bits=bits, x_pair=x_pair, h=h, y=h @ s + v)
 
 
 @dataclass(frozen=True)
 class _Point:
-    """The objects that every trial at one SNR point shares."""
+    """The objects that every trial at one SNR point shares; ``reps`` lists
+    the representations the detectors need, in ``Representation`` order."""
 
     c: Constellation
     sigma_sq: float
     policy: RadiusPolicy
+    reps: tuple
 
 
 def _point(cfg, snr_db):
@@ -210,7 +254,9 @@ def _point(cfg, snr_db):
     sigma_sq = sigma_for_snr(snr_db, c, cfg.n_antennas)
     policy = RadiusPolicy.for_noise(sigma_sq, cfg.n_antennas,
                                     dimension=cfg.radius_dimension)
-    return _Point(c=c, sigma_sq=sigma_sq, policy=policy)
+    needed = {_DETECTOR_REPRESENTATION[name] for name in cfg.detectors}
+    reps = tuple(rep for rep in Representation if rep in needed)
+    return _Point(c=c, sigma_sq=sigma_sq, policy=policy, reps=reps)
 
 
 def run_trial(rng, cfg, snr_db, point=None):
@@ -227,12 +273,10 @@ def run_trial(rng, cfg, snr_db, point=None):
     if point is None:
         point = _point(cfg, snr_db)
     c = point.c
-    needed = {_DETECTOR_REPRESENTATION[name] for name in cfg.detectors}
-    reps = [rep for rep in Representation if rep in needed]
     for _ in range(_MAX_REDRAWS):
         inst = draw_instance(rng, cfg, point.sigma_sq)
         try:
-            problems = {rep: build_problem(inst.h, inst.y, rep) for rep in reps}
+            problems = {rep: build_problem(inst.h, inst.y, rep) for rep in point.reps}
         except DegenerateChannelError:
             continue
         break
@@ -250,12 +294,11 @@ def run_trial(rng, cfg, snr_db, point=None):
             result = sd_proposed(problem, c, point.policy)
         x_hat_pair = to_pair_order(result.x_hat, problem.representation)
         bits_hat = symbols_to_bits(x_hat_pair, c)
-        true_pair = inst.x_pair
+        wrong_rails = (x_hat_pair != inst.x_pair).reshape(-1, 2)
         tallies.append(Tally(
             trials=1,
-            bit_errors=int(np.sum(bits_hat != inst.bits)),
-            symbol_errors=int(np.sum((x_hat_pair[0::2] != true_pair[0::2])
-                                     | (x_hat_pair[1::2] != true_pair[1::2]))),
+            bit_errors=int(np.count_nonzero(bits_hat != inst.bits)),
+            symbol_errors=int(np.count_nonzero(wrong_rails.any(axis=1))),
             flops=result.flops,
             preproc_flops=problem.preproc_flops,
             nodes=result.nodes_visited,

@@ -1,10 +1,11 @@
 """Test-only oracle: the per-trial harness as it stood before its lean-out,
 kept verbatim.
 
-Holds ``draw_channel`` and ``draw_instance`` of ``spheredec.sim``,
-``interleave`` and ``build_problem`` of ``spheredec.lattice``,
-``gram_schmidt_qr`` of ``spheredec.linalg`` and the scoring loop of
-``spheredec.sim.run_trial``.  ``tests/test_harness_reference.py`` requires
+Holds ``trial_rng``, ``draw_channel`` and ``draw_instance`` of
+``spheredec.sim``; ``interleave``, ``to_pair_order`` and ``build_problem``
+of ``spheredec.lattice``; ``rails_to_complex`` and ``complex_to_rails`` of
+``spheredec.modem``; ``gram_schmidt_qr`` of ``spheredec.linalg``; and the
+scoring loop of ``spheredec.sim.run_trial``.  ``tests/test_harness_reference.py`` requires
 the package's versions to give array-equal draws, R, y_hat and
 ``zero_structure_max``, and equal per-detector tallies.
 """
@@ -12,7 +13,7 @@ the package's versions to give array-equal draws, R, y_hat and
 import numpy as np
 
 from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed
-from spheredec.lattice import LatticeProblem, Representation, symbol_order, to_pair_order
+from spheredec.lattice import LatticeProblem, Representation, symbol_order
 from spheredec.linalg import (
     PAIR_ZERO_TOL,
     RANK_TOL,
@@ -20,13 +21,7 @@ from spheredec.linalg import (
     QrFactors,
     preprocessing_flops,
 )
-from spheredec.modem import (
-    bits_to_symbols,
-    complex_to_rails,
-    make_constellation,
-    rails_to_complex,
-    symbols_to_bits,
-)
+from spheredec.modem import bits_to_symbols, make_constellation, symbols_to_bits
 from spheredec.sim import (
     _DETECTOR_REPRESENTATION,
     _MAX_REDRAWS,
@@ -34,6 +29,29 @@ from spheredec.sim import (
     Tally,
     _point,
 )
+
+
+def rails_to_complex(x):
+    """Pair-ordered rail vector -> complex symbol vector of length N."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) % 2:
+        raise ValueError(f"expected an even-length rail vector, got {x.shape}")
+    return x[0::2] + 1j * x[1::2]
+
+
+def complex_to_rails(s):
+    """Complex symbol vector -> pair-ordered rail vector of length 2N."""
+    s = np.asarray(s, dtype=complex)
+    out = np.empty(2 * len(s))
+    out[0::2] = s.real
+    out[1::2] = s.imag
+    return out
+
+
+def trial_rng(seed, snr_index, trial_index):
+    """Independent Philox stream for one (seed, SNR point, trial) cell."""
+    bg = np.random.Philox(key=seed, counter=[0, 0, snr_index, trial_index])
+    return np.random.Generator(bg)
 
 
 def draw_channel(rng, n):
@@ -98,6 +116,14 @@ def interleave(h):
     out[0::2, 1::2] = -h.imag
     out[1::2, 0::2] = h.imag
     out[1::2, 1::2] = h.real
+    return out
+
+
+def to_pair_order(x_rep, representation):
+    x_rep = np.asarray(x_rep)
+    n = len(x_rep) // 2
+    out = np.empty_like(x_rep)
+    out[symbol_order(n, representation)] = x_rep
     return out
 
 

@@ -102,6 +102,8 @@ class TestParseArgs:
         (["--snr", "5:0:15"], {}),
         (["--snr", "15:2:5"], {}),
         (["--trials", "0"], {}),
+        (["--snr", "4000:1:4000"], {}),
+        (["--snr=-4000:1:-4000"], {}),
     ])
     def test_bad_input_fails_fast(self, args, env):
         # a child interpreter under -O, so a hang cannot stall the suite and

@@ -29,3 +29,9 @@ def test_detector_agreement_demo_agrees_everywhere():
     out = run_demo("detector_agreement_demo.py")
     for order in (16, 64):
         assert f"{order}-QAM 2x2: all three detectors agree on 1200/1200 trials" in out
+
+
+def test_complexity_comparison_demo_prints_6x6_rows():
+    out = run_demo("complexity_comparison_demo.py")
+    rows = [line.split() for line in out.splitlines() if line.startswith("6x6")]
+    assert [row[1] for row in rows] == ["12", "20"]

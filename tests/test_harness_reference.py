@@ -34,6 +34,16 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1, 2**64, 2**100 + 12345, 2**128 - 1])
+def test_trial_rng_same_stream(seed):
+    for snr_index, trial_index in ((0, 0), (3, 17), (999, 2**40)):
+        got = trial_rng(seed, snr_index, trial_index)
+        want = ref.trial_rng(seed, snr_index, trial_index)
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert_same_bits(got.standard_normal(9), want.standard_normal(9))
+        assert_same_bits(got.integers(0, 2, size=7), want.integers(0, 2, size=7))
+
+
 @pytest.mark.parametrize("n, mod, detectors, snrs", CASES, ids=IDS)
 def test_draws_bitwise(n, mod, detectors, snrs):
     cfg = SimConfig(n_antennas=n, mod_order=mod, detectors=detectors)
@@ -42,11 +52,11 @@ def test_draws_bitwise(n, mod, detectors, snrs):
         sigma_sq = sigma_for_snr(snr_db, c, n)
         for t in range(DRAWS):
             got = sim.draw_instance(trial_rng(5, i, t), cfg, sigma_sq)
-            want = ref.draw_instance(trial_rng(5, i, t), cfg, sigma_sq)
+            want = ref.draw_instance(ref.trial_rng(5, i, t), cfg, sigma_sq)
             for field in ("bits", "x_pair", "h", "y"):
                 assert_same_bits(getattr(got, field), getattr(want, field))
         assert_same_bits(sim.draw_channel(trial_rng(6, i, 0), n),
-                         ref.draw_channel(trial_rng(6, i, 0), n))
+                         ref.draw_channel(ref.trial_rng(6, i, 0), n))
 
 
 @pytest.mark.parametrize("n, mod, detectors, snrs", CASES, ids=IDS)
@@ -55,7 +65,7 @@ def test_qr_and_build_bitwise(n, mod, detectors, snrs):
     c = make_constellation(mod)
     sigma_sq = sigma_for_snr(snrs[0], c, n)
     for t in range(DRAWS):
-        inst = ref.draw_instance(trial_rng(8, 0, t), cfg, sigma_sq)
+        inst = ref.draw_instance(ref.trial_rng(8, 0, t), cfg, sigma_sq)
         assert_same_bits(interleave(inst.h), ref.interleave(inst.h))
         for rep in Representation:
             order = symbol_order(n, rep)
@@ -84,8 +94,9 @@ def test_run_trial_tallies_equal(n, mod, detectors, snrs):
     for i, snr_db in enumerate(snrs):
         for t in range(TRIALS):
             got = sim.run_trial(trial_rng(9, i, t), cfg, snr_db)
-            want = ref.run_trial(trial_rng(9, i, t), cfg, snr_db)
+            want = ref.run_trial(ref.trial_rng(9, i, t), cfg, snr_db)
             assert got == want
+            assert all(type(v) is int for tally in got for v in tally)
             errors += sum(tally.symbol_errors for tally in got)
     if n == 2 and mod == 16:
         assert errors  # the low SNR point exercises the error counts

@@ -209,6 +209,10 @@ class TestRunSweep:
             SimConfig(snr_start_db=0.0, snr_stop_db=20.0, snr_step_db=0.01)
         with pytest.raises(ValueError, match="points"):
             SimConfig(snr_start_db=1e20, snr_stop_db=1e20, snr_step_db=1.0)
+        # 10**400 overflows and 10**-400 underflows to zero
+        for snr in (4000.0, -4000.0):
+            with pytest.raises(ValueError, match="noise variance"):
+                SimConfig(snr_start_db=snr, snr_stop_db=snr, snr_step_db=1.0)
         for seed in (-1, 2**128):
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=seed)
