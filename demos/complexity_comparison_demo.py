@@ -5,7 +5,7 @@ and a high SNR for each antenna count.  The reduced decoder's advantage
 grows with the system size and shrinks with SNR as the conventional
 decoder's tree collapses toward a single dive.
 
-Run:  python demos/complexity_comparison_demo.py  (about a minute)
+Run:  python demos/complexity_comparison_demo.py  (a few seconds on 2 CPUs)
 """
 
 from spheredec import SimConfig, run_sweep
