@@ -13,6 +13,7 @@ byte-identical files.  ``LATTICE_SD_THREADS`` caps parallel trial workers.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -88,8 +89,23 @@ def parse_args(argv):
         )
     except ValueError as exc:
         parser.error(str(exc))
+    if ns.out != "-":
+        try:
+            _probe_writable(ns.out)
+        except OSError as exc:
+            parser.error(f"cannot write --out {ns.out!r}: {exc.strerror}")
     return CliArgs(config=cfg, out_path=ns.out, format=ns.format,
                    verbosity=ns.verbosity)
+
+
+def _probe_writable(path):
+    """Raise OSError unless ``path`` opens for writing.  A file the probe
+    creates is removed again, so the sweep's output is the first write."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def _fmt(value):

@@ -28,9 +28,10 @@ Search conventions shared by the tree detectors:
   enumerated in natural ascending order;
 * a partial weight is pruned as soon as it reaches the squared radius
   (survive iff w < d^2);
-* an empty sphere triggers the radius-growth restarts of the
-  :class:`~spheredec.lattice.RadiusPolicy`, ending in one unconstrained
-  pass, so a result is always produced;
+* each tree detector supplies one search pass, which
+  :meth:`~spheredec.lattice.RadiusPolicy.first_leaf` reruns at a growing
+  radius while the sphere is empty, ending in one unconstrained pass, so a
+  result is always produced;
 * ties in weight are broken lexicographically in detection order
   (x_{2N}, x_{2N-1}, ..., x_1), which makes outputs bit-reproducible;
 * the reported weight is always recomputed canonically from the returned
@@ -125,6 +126,17 @@ def _check_weight(accumulated, canonical):
         )
 
 
+def _result(p, leaf, *, restarts, nodes, adds, mults, divs, comparisons):
+    """The :class:`DetectionResult` of a search's leaf ``(weight, x)``: its
+    accumulated weight and its 2N rail levels in symbol index order."""
+    w_acc, x = leaf
+    x_hat = np.array(x, dtype=int)
+    weight = recompute_weight(p, x_hat)
+    _check_weight(w_acc, weight)
+    return DetectionResult(x_hat, weight, nodes, restarts, adds, mults, divs,
+                           comparisons)
+
+
 def ml_exhaustive(p: LatticeProblem, c: Constellation):
     """Globally minimal weight by exhaustive enumeration of the rail set.
 
@@ -155,20 +167,9 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
             best_w = float(w[k])
             best_x = x_chunk[k].copy()
 
-    x_hat = best_x.astype(int)
-    per_cand = m * (m + 1) // 2 + m  # sum of (terms + 1) over all rows
-    weight = recompute_weight(p, x_hat)
-    _check_weight(best_w, weight)
-    return DetectionResult(
-        x_hat=x_hat,
-        weight=weight,
-        nodes_visited=total,
-        restarts=0,
-        adds=total * per_cand,
-        mults=total * per_cand,
-        divs=0,
-        comparisons=total,
-    )
+    ops = total * (m * (m + 1) // 2 + m)  # sum of (terms + 1) over all rows
+    return _result(p, (best_w, best_x), restarts=0, nodes=total, adds=ops,
+                   mults=ops, divs=0, comparisons=total)
 
 
 @functools.lru_cache(maxsize=2)
@@ -221,68 +222,57 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
     xv = [0.0] * m
     nodes_at = [0] * m  # node visits per level index, for the flop tally
+    d2 = best_x = None  # the pass's squared radius, its best leaf so far
 
-    for restarts, d2 in policy.radii():
-        best_w = math.inf
-        best_x = None
-
-        def dfs(j, w_prefix):
-            nonlocal d2, best_w, best_x
-            row = rows[j]
-            yj = yh[j]
-            nodes_at[j] += mu  # every rail, as specified
-            e = 0.0
+    def dfs(j, w_prefix):
+        nonlocal d2, best_x
+        row = rows[j]
+        yj = yh[j]
+        nodes_at[j] += mu  # every rail, as specified
+        e = 0.0
+        for k in range(j + 1, m):
+            e += row[k] * xv[k]
+        # center and ends in rail-index units; d2 = inf keeps every rail
+        center = (yj - e) * inv[j] + top
+        half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
+        lo = 0.5 * (center - half)
+        i = ceil(lo) if lo > 0.0 else 0
+        hi = 0.5 * (center + half)
+        hi = floor(hi) if hi < top else top
+        while i <= hi:
+            omega = rail[i]
+            i += 1
+            s = row[j] * omega
             for k in range(j + 1, m):
-                e += row[k] * xv[k]
-            # center and ends in rail-index units; d2 = inf keeps every rail
-            center = (yj - e) * inv[j] + top
-            half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
-            lo = 0.5 * (center - half)
-            i = ceil(lo) if lo > 0.0 else 0
-            hi = 0.5 * (center + half)
-            hi = floor(hi) if hi < top else top
-            while i <= hi:
-                omega = rail[i]
-                i += 1
-                s = row[j] * omega
-                for k in range(j + 1, m):
-                    s += row[k] * xv[k]
-                d = yj - s
-                w = w_prefix + d * d
-                assert w >= w_prefix  # partial metrics never decrease
-                if w < d2:
-                    xv[j] = omega
-                    radius = d2
-                    if j:
-                        dfs(j - 1, w)
-                    else:
-                        d2 = w
-                        best_w = w
-                        best_x = xv.copy()
-                    if d2 < radius:  # the radius shrank: pull in the upper end
-                        half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
-                        hi = min(hi, floor(0.5 * (center + half)))
+                s += row[k] * xv[k]
+            d = yj - s
+            w = w_prefix + d * d
+            assert w >= w_prefix  # partial metrics never decrease
+            if w < d2:
+                xv[j] = omega
+                radius = d2
+                if j:
+                    dfs(j - 1, w)
+                else:
+                    d2 = w
+                    best_x = xv.copy()
+                if d2 < radius:  # the radius shrank: pull in the upper end
+                    half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
+                    hi = min(hi, floor(0.5 * (center + half)))
 
+    def search(radius_sq):
+        nonlocal d2, best_x
+        d2, best_x = radius_sq, None
         dfs(m - 1, 0.0)
-        if best_x is not None:
-            break
+        return None if best_x is None else (d2, best_x)  # d2 = its weight
 
+    restarts, leaf = policy.first_leaf(search)
+    del dfs  # dfs refers to itself; dropping it leaves no garbage cycle
     visited = sum(nodes_at)
     add_total = sum(cnt * (m - j + 1) for j, cnt in enumerate(nodes_at))
-
-    x_hat = np.array([int(v) for v in best_x], dtype=int)
-    weight = recompute_weight(p, x_hat)
-    _check_weight(best_w, weight)
-    return DetectionResult(
-        x_hat=x_hat,
-        weight=weight,
-        nodes_visited=visited,
-        restarts=restarts,
-        adds=add_total,
-        mults=add_total,
-        divs=0,
-        comparisons=visited,  # one radius test per node
-    )
+    return _result(p, leaf, restarts=restarts, nodes=visited, adds=add_total,
+                   mults=add_total, divs=0,
+                   comparisons=visited)  # one radius test per node
 
 
 def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
@@ -347,9 +337,9 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     leaf_ops = sum(2 * (m - 2 * sym + 2) for sym in low_syms)
 
     adds = mults = divs = cmps = nodes = 0
-    best = None
 
-    for restarts, d2 in policy.radii():
+    def search(d2):
+        nonlocal adds, mults, divs, cmps, nodes
         # Step 1: the two top levels are independent (r[m-2, m-1] == 0).
         top = []
         for j in (m - 1, m - 2):
@@ -377,7 +367,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         adds += pairs
         cmps += pairs
         if not survivors:
-            continue
+            return None
         survivors.sort()
 
         # Middle symbol layers (N >= 3): the best `cap` of the mu^2 rail
@@ -387,7 +377,6 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         # one at or above the radius, or above the cap-th smallest weight
         # found so far.  A pair tied with that weight is still kept, and
         # the final (weight, prefix) sort decides among ties.
-        empty = False
         for layer, cap in enumerate(caps):
             sym = n - 1 - layer        # symbol index, 1-based
             j_im, j_re = 2 * sym - 1, 2 * sym - 2
@@ -436,12 +425,9 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
                             heapq.heapreplace(heap, -w)
                             bound = -heap[0]
             if not nxt:
-                empty = True
-                break
+                return None
             nxt.sort()
             survivors = nxt[:cap]
-        if empty:
-            continue
 
         # Step 2: quantize the remaining low symbols per surviving prefix.
         # Leaf weights never fall below their prefix weight, so once a
@@ -478,25 +464,14 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
             if w < d2:
                 leaves.append((w, tuple(values)))
                 best_w = min(best_w, w)
-        if leaves:
-            best = min(leaves)
-            break
+        if not leaves:
+            return None
+        w, values = min(leaves)
+        return w, values[::-1]  # detection order -> symbol index order
 
-    w_acc, values = best
-    # detection-order tuple -> symbol index order
-    x_hat = np.array([int(values[m - 1 - j]) for j in range(m)], dtype=int)
-    weight = recompute_weight(p, x_hat)
-    _check_weight(w_acc, weight)
-    return DetectionResult(
-        x_hat=x_hat,
-        weight=weight,
-        nodes_visited=nodes,
-        restarts=restarts,
-        adds=adds,
-        mults=mults,
-        divs=divs,
-        comparisons=cmps,
-    )
+    restarts, leaf = policy.first_leaf(search)
+    return _result(p, leaf, restarts=restarts, nodes=nodes, adds=adds,
+                   mults=mults, divs=divs, comparisons=cmps)
 
 
 def _interference(row, prefix, j_top, m):

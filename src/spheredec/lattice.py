@@ -74,6 +74,15 @@ class RadiusPolicy:
             yield attempt, self.initial_sq * self.growth ** attempt
         yield self.max_restarts + 1, math.inf
 
+    def first_leaf(self, search):
+        """Run the pass ``search(d2)`` at each radius of :meth:`radii` until
+        one returns a leaf (not ``None``); return ``(attempt, leaf)``."""
+        for attempt, d2 in self.radii():
+            leaf = search(d2)
+            if leaf is not None:
+                return attempt, leaf
+        raise RuntimeError("no leaf found even by the unconstrained search pass")
+
 
 @dataclass(frozen=True)
 class LatticeProblem:
@@ -159,7 +168,8 @@ def build_problem(h, y, representation):
     (with structural zero forcing for the interleaved form) and the q^T
     rotation of the receive vector.  Propagates
     :class:`~spheredec.linalg.DegenerateChannelError` for rank-deficient
-    draws so the caller can redraw the channel.
+    draws so the caller can redraw the channel, and raises ``ValueError``
+    for a channel or received vector that is not finite.
     """
     h = _square_complex(h)
     n = h.shape[0]
@@ -167,6 +177,8 @@ def build_problem(h, y, representation):
         raise ValueError("received vector length does not match the channel")
     h_real = _interleave(h)
     y_real = complex_to_rails(y)
+    if not all(map(math.isfinite, y_real.tolist())):
+        raise ValueError("received vector is not finite")
     pair_zeros = representation is Representation.INTERLEAVED
     if not pair_zeros:
         h_real = h_real[_stacked_grid(n)]

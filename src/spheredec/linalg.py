@@ -66,12 +66,14 @@ def gram_schmidt_qr(h, pair_zeros=False):
     Raises
     ------
     DegenerateChannelError : a column residual norm fell below ``RANK_TOL``.
-    ValueError : non-square input, or the declared pair structure does not
-        hold numerically.
+    ValueError : non-square or non-finite input, or the declared pair
+        structure does not hold numerically.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix is not finite")
     m = h.shape[0]
     if pair_zeros and m % 2:
         raise ValueError("pair-structured matrices must have even size")

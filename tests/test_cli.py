@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from spheredec import cli
 from spheredec.cli import emit_results, main, parse_args, render_csv
 from spheredec.sim import SweepRecord
 
@@ -104,6 +105,7 @@ class TestParseArgs:
         (["--trials", "0"], {}),
         (["--snr", "4000:1:4000"], {}),
         (["--snr=-4000:1:-4000"], {}),
+        (["--out", "/nonexistent-dir/x.csv"], {}),
     ])
     def test_bad_input_fails_fast(self, args, env):
         # a child interpreter under -O, so a hang cannot stall the suite and
@@ -173,8 +175,23 @@ class TestMain:
         assert main(self.ARGS + ["--format", "json", "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())) == 4
 
-    def test_unwritable_path_nonzero_exit(self):
-        assert main(self.ARGS + ["--out", "/nonexistent-dir/x.csv"]) == 1
+    def test_unwritable_path_nonzero_exit(self, monkeypatch):
+        # the path is probed before the sweep, which therefore never starts
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--out", "/nonexistent-dir/x.csv"])
+        assert exc.value.code == 2
+
+    def test_nothing_written_before_the_sweep_succeeds(self, tmp_path, monkeypatch):
+        out = tmp_path / "x.csv"
+        monkeypatch.setattr(cli, "run_sweep", _no_sweep)
+        with pytest.raises(RuntimeError, match="no sweep"):
+            main(self.ARGS + ["--out", str(out)])
+        assert not out.exists()
+        out.write_text("kept\n")
+        with pytest.raises(RuntimeError, match="no sweep"):
+            main(self.ARGS + ["--out", str(out)])
+        assert out.read_text() == "kept\n"
 
     def test_stdout(self, capsys):
         assert main(self.ARGS) == 0
@@ -195,6 +212,10 @@ class TestMain:
         # frozen from the first run of this configuration; any change in
         # RNG streams, detection, or counting breaks this line
         assert out.read_text() == GOLDEN_TINY_SWEEP
+
+
+def _no_sweep(cfg):
+    raise RuntimeError("no sweep in this test")
 
 
 GOLDEN_TINY_SWEEP = (

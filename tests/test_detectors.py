@@ -1,5 +1,6 @@
 """Tests for the three detectors: oracle equivalence, counting, properties."""
 
+import gc
 import itertools
 import subprocess
 import sys
@@ -434,3 +435,26 @@ class TestRecomputeWeight:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "disagrees with canonical" in proc.stderr
+
+
+@pytest.mark.parametrize("initial_sq, restarts", [(1.0, 0), (1e-9, 21)])
+def test_detection_leaves_no_garbage(initial_sq, restarts):
+    # a reference cycle left by a call would be collected here, so each call
+    # would cost the sweep a share of gc passes
+    rng = np.random.default_rng(83)
+    c = make_constellation(16)
+    h, y, _ = random_instance(rng, 2, c, 1.0)
+    stacked = build_problem(h, y, Representation.STACKED)
+    interleaved = build_problem(h, y, Representation.INTERLEAVED)
+    pol = RadiusPolicy(initial_sq=initial_sq)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        results = [ml_exhaustive(stacked, c), sd_conventional(stacked, c, pol),
+                   sd_proposed(interleaved, c, pol)]
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert [r.restarts for r in results] == [0, restarts, restarts]

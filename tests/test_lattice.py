@@ -134,6 +134,22 @@ class TestRadiusPolicy:
         pol = RadiusPolicy(initial_sq=0.75, growth=3.0, max_restarts=2)
         assert list(pol.radii()) == [(0, 0.75), (1, 2.25), (2, 6.75), (3, float("inf"))]
 
+    def test_first_leaf_counts_the_passes_before_it(self):
+        pol = RadiusPolicy(initial_sq=0.75, growth=3.0, max_restarts=2)
+        seen = []
+
+        def search(d2):
+            seen.append(d2)
+            return "leaf" if d2 > 2.0 else None
+
+        assert pol.first_leaf(search) == (1, "leaf")
+        assert seen == [0.75, 2.25]
+
+    def test_first_leaf_raises_when_even_the_unconstrained_pass_is_empty(self):
+        pol = RadiusPolicy(initial_sq=0.75, growth=3.0, max_restarts=2)
+        with pytest.raises(RuntimeError, match="unconstrained"):
+            pol.first_leaf(lambda d2: None)
+
 
 class TestBuildProblem:
     def setup_method(self):
@@ -188,6 +204,21 @@ class TestBuildProblem:
         h = np.ones((2, 2), dtype=complex)
         with pytest.raises(DegenerateChannelError):
             build_problem(h, np.ones(2, dtype=complex), Representation.STACKED)
+
+    @pytest.mark.parametrize("rep", list(Representation))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rep, bad):
+        h, s, _ = self._instance(2)
+        y = h @ s
+        for part in (complex(bad, 0.0), complex(0.0, bad)):
+            y_bad = y.copy()
+            y_bad[0] = part
+            with pytest.raises(ValueError, match="received vector is not finite"):
+                build_problem(h, y_bad, rep)
+            h_bad = h.copy()
+            h_bad[1, 0] = part
+            with pytest.raises(ValueError, match="not finite"):
+                build_problem(h_bad, y, rep)
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError, match="initial_sq"):

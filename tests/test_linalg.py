@@ -69,6 +69,16 @@ class TestGramSchmidtQr:
         with pytest.raises(ValueError, match="square"):
             gram_schmidt_qr(np.ones((3, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pair_zeros", [False, True])
+    def test_non_finite_rejected(self, bad, pair_zeros):
+        h = interleave(np.eye(2, dtype=complex))
+        h[3, 2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            gram_schmidt_qr(h, pair_zeros=pair_zeros)
+        with pytest.raises(ValueError, match="not finite"):
+            gram_schmidt_qr(np.full((4, 4), bad), pair_zeros=pair_zeros)
+
 
 class TestInterleavedZeroStructure:
     """Structural zeros r[k, k+1] (even 0-based k) of interleaved channels."""
