@@ -11,7 +11,7 @@ Run:  python demos/zero_structure_demo.py
 
 import numpy as np
 
-from spheredec import gram_schmidt_qr, interleave, stack_real
+from spheredec import Representation, gram_schmidt_qr, real_form
 
 rng = np.random.default_rng(2024)
 
@@ -21,16 +21,16 @@ for n in (2, 4, 6):
     worst = 0.0
     for _ in range(500):
         h = np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        f = gram_schmidt_qr(interleave(h), pair_zeros=True)
+        f = gram_schmidt_qr(real_form(h, Representation.INTERLEAVED), pair_zeros=True)
         worst = max(worst, f.zero_structure_max)
     # same positions in the stacked form are ordinary nonzeros
-    f_stacked = gram_schmidt_qr(stack_real(h))
+    f_stacked = gram_schmidt_qr(real_form(h, Representation.STACKED))
     stacked_mag = max(abs(f_stacked.r[k, k + 1]) for k in range(0, 2 * n, 2))
     print(f"{n:>3} {worst:>34.3e} {stacked_mag:>20.3f}")
 
 print()
 h = np.sqrt(0.5) * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-f = gram_schmidt_qr(interleave(h), pair_zeros=True)
+f = gram_schmidt_qr(real_form(h, Representation.INTERLEAVED), pair_zeros=True)
 print("R of a 2x2 interleaved channel (note the exact zeros at (1,2) and (3,4)):")
 with np.printoptions(precision=4, suppress=True):
     print(f.r)

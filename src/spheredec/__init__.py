@@ -13,11 +13,10 @@ from .lattice import (
     RadiusPolicy,
     Representation,
     build_problem,
-    interleave,
-    stack_real,
+    gram_schmidt_qr,
+    real_form,
     to_pair_order,
 )
-from .linalg import gram_schmidt_qr
 from .modem import make_constellation
 from .sim import SimConfig, run_sweep
 
@@ -29,12 +28,11 @@ __all__ = [
     "SimConfig",
     "build_problem",
     "gram_schmidt_qr",
-    "interleave",
     "make_constellation",
     "ml_exhaustive",
+    "real_form",
     "run_sweep",
     "sd_conventional",
     "sd_proposed",
-    "stack_real",
     "to_pair_order",
 ]

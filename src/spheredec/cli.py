@@ -15,14 +15,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .sim import DETECTOR_NAMES, SimConfig, run_sweep, workers_from_env
+from .sim import DETECTOR_NAMES, SimConfig, SweepRecord, run_sweep, workers_from_env
 
 _MOD_FLAGS = {"16qam": 16, "64qam": 64}
 
-_CSV_FIELDS = ("snr_db", "detector", "n", "mod", "ber", "ser", "mean_flops",
-               "mean_preproc_flops", "mean_nodes", "trials", "bit_errors", "seed")
+_CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass(frozen=True)

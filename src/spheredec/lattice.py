@@ -1,4 +1,5 @@
-"""Real-valued lattice representations of the complex MIMO channel.
+"""Real-valued lattice representations of the complex MIMO channel and
+their QR reduction.
 
 Two equivalent 2N-dimensional real formulations of y = H s + v are
 supported:
@@ -14,6 +15,14 @@ supported:
   interleaved form with rows and columns permuted by :func:`symbol_order`,
   and its receive vector the pair-ordered one permuted the same way.
 
+The QR factorization is written out as the classical (project-onto-the-
+original-column) Gram-Schmidt procedure instead of calling LAPACK: the
+interleaved form relies on the exact zero pattern that Gram-Schmidt
+produces in R for pair-structured matrices, and recording the pre-forcing
+magnitude of those entries doubles as a numerical health check.  Problem
+sizes are tiny (at most 12 x 12), so conditioning of classical vs.
+modified Gram-Schmidt is not a concern.
+
 Levels follow the 1-indexed convention l = 2N, ..., 1 used throughout the
 tree-search code: level l corresponds to row/column l-1 of R.
 """
@@ -25,8 +34,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import gram_schmidt_qr, preprocessing_flops
 from .modem import complex_to_rails
+
+# Columns whose residual norm falls at or below this are treated as a rank
+# deficiency; continuous channel draws make this a measure-zero event.
+RANK_TOL = 1e-12
+
+# Structural zeros of a pair-structured matrix must already be this small
+# before they are snapped to exact 0.0.
+PAIR_ZERO_TOL = 1e-9
+
+# Largest entry magnitude the QR accepts: below it, the squared column norm
+# of an m x m matrix stays under m * 1e300, finite for any m below 1e8.
+MAX_ENTRY = 1e150
+
+
+class DegenerateChannelError(Exception):
+    """Input matrix is numerically rank deficient; caller should redraw."""
 
 
 class Representation(enum.Enum):
@@ -85,6 +109,22 @@ class RadiusPolicy:
 
 
 @dataclass(frozen=True)
+class QrFactors:
+    """Factorization h = q @ r with orthonormal q and upper-triangular r.
+
+    The diagonal of ``r`` is strictly positive, which makes the
+    factorization unique.  ``zero_structure_max`` is the largest
+    ``|r[k, k+1]|`` over even 0-based ``k`` observed *before* those entries
+    were forced to exact zero; it is ``None`` when the input was not
+    declared pair-structured.
+    """
+
+    q: np.ndarray
+    r: np.ndarray
+    zero_structure_max: float | None = None
+
+
+@dataclass(frozen=True)
 class LatticeProblem:
     """QR-reduced detection problem min ||y_hat - R x||^2 over the rail set.
 
@@ -102,31 +142,27 @@ class LatticeProblem:
     preproc_flops: int = 0
 
 
-def stack_real(h):
-    """Complex N x N channel -> stacked 2N x 2N real form: the interleaved
-    form with rows and columns permuted into the stacked symbol order."""
-    h = _square_complex(h)
-    return _interleave(h)[_stacked_grid(len(h))]
+def real_form(h, representation):
+    """Complex N x N channel -> 2N x 2N real form in the representation's
+    symbol order.
 
-
-def interleave(h):
-    """Complex N x N channel -> interleaved 2N x 2N real form.
-
-    Entry pattern per complex coefficient H[m, n] (0-based):
-    out[2m, 2n] = Re, out[2m, 2n+1] = -Im, out[2m+1, 2n] = Im,
-    out[2m+1, 2n+1] = Re.
+    The interleaved entry pattern per complex coefficient H[m, n] (0-based)
+    is out[2m, 2n] = Re, out[2m, 2n+1] = -Im, out[2m+1, 2n] = Im,
+    out[2m+1, 2n+1] = Re; the stacked form is that matrix with rows and
+    columns permuted by :func:`symbol_order`.
     """
-    return _interleave(_square_complex(h))
-
-
-def _interleave(h):
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square channel matrix, got {h.shape}")
     n = h.shape[0]
     out = np.empty((2 * n, 2 * n))
     out[0::2, 0::2] = h.real
     out[0::2, 1::2] = -h.imag
     out[1::2, 0::2] = h.imag
     out[1::2, 1::2] = h.real
-    return out
+    if representation is Representation.INTERLEAVED:
+        return out
+    return out[_stacked_grid(n)]
 
 
 @functools.cache
@@ -159,29 +195,114 @@ def to_pair_order(x_rep, representation):
     return out
 
 
+def gram_schmidt_qr(h, pair_zeros=False):
+    """Classical Gram-Schmidt QR of a square real matrix.
+
+    Each column is projected onto the already-orthonormalized columns
+    e_1..e_{k-1}; the projection coefficients fill column k of R and the
+    normalized residual becomes e_k.  The diagonal of R holds the residual
+    norms and is therefore positive.
+
+    Parameters
+    ----------
+    h : (m, m) array of floats with linearly independent columns.
+    pair_zeros : when True the input is declared pair-structured (columns
+        2j and 2j+1 orthogonal with equal norm, 0-based).  The entries
+        r[k, k+1] for even k are then asserted to be below ``PAIR_ZERO_TOL``
+        and forced to exact 0.0, with the pre-forcing maximum reported in
+        ``QrFactors.zero_structure_max``.
+
+    Raises
+    ------
+    DegenerateChannelError : a column residual norm fell below ``RANK_TOL``.
+    ValueError : non-square input, input that is not finite or has an entry
+        of magnitude ``MAX_ENTRY`` or more, or the declared pair structure
+        does not hold numerically.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    largest = np.abs(h).max(initial=0.0)  # NaN if any entry is NaN
+    if not largest < MAX_ENTRY:
+        if not math.isfinite(largest):
+            raise ValueError("matrix is not finite")
+        raise ValueError(f"matrix entry magnitude {largest:.3e} is not below "
+                         f"{MAX_ENTRY:g}; the squared column norms could overflow")
+    m = h.shape[0]
+    if pair_zeros and m % 2:
+        raise ValueError("pair-structured matrices must have even size")
+    q = np.empty((m, m))
+    r = np.zeros((m, m))
+    for k in range(m):
+        hk = h[:, k]
+        if k:
+            qk = q[:, :k]
+            coeff = qk.T @ hk
+            r[:k, k] = coeff
+            u = hk - qk @ coeff
+        else:
+            u = hk.copy()  # contiguous, so u @ u takes the same BLAS path
+        norm = math.sqrt(u @ u)
+        if norm <= RANK_TOL:
+            raise DegenerateChannelError(f"column {k} is numerically dependent")
+        r[k, k] = norm
+        np.divide(u, norm, out=q[:, k])
+
+    zmax = None
+    if pair_zeros:
+        pairs = _pair_entries(m)
+        zmax = max(map(abs, r[pairs].tolist()))
+        if not zmax < PAIR_ZERO_TOL:
+            raise ValueError(
+                f"pair zero structure violated: max |r[k,k+1]| = {zmax:.3e}"
+            )
+        r[pairs] = 0.0
+    return QrFactors(q=q, r=r, zero_structure_max=zmax)
+
+
+@functools.cache
+def _pair_entries(m):
+    """Index arrays of the entries r[k, k+1], even 0-based k, of an m x m R."""
+    rows = np.arange(0, m, 2)
+    rows.flags.writeable = False
+    cols = rows + 1
+    cols.flags.writeable = False
+    return rows, cols
+
+
+def preprocessing_flops(m):
+    """Real add/mul/div count of one Gram-Schmidt QR plus the q^T y rotation.
+
+    Counts the operations of the classical procedure above at size m x m:
+    per column k, the k inner products (m mults + m-1 adds each), the
+    residual update (k*m mults + k*m adds), the norm (m mults + m-1 adds;
+    the square root itself is not an add/mul/div), and the normalization
+    (m divisions).  The rotation costs m*m mults + m*(m-1) adds.  Summed
+    over k = 0..m-1 that is (4m-1) * m(m-1)/2 + m(3m-1), plus the rotation.
+    """
+    return (4 * m - 1) * (m * (m - 1) // 2) + m * (3 * m - 1) + m * m + m * (m - 1)
+
+
 def build_problem(h, y, representation):
     """Assemble the QR-reduced problem for one channel use.
 
-    Permutes the interleaved real form and the pair-ordered receive vector
-    into the representation's symbol order (the interleaved form needs no
-    permutation), then applies Gram-Schmidt QR
-    (with structural zero forcing for the interleaved form) and the q^T
-    rotation of the receive vector.  Propagates
-    :class:`~spheredec.linalg.DegenerateChannelError` for rank-deficient
+    Takes the :func:`real_form` of the channel and permutes the pair-ordered
+    receive vector into the same symbol order (the interleaved form needs
+    no permutation), then applies Gram-Schmidt QR (with structural zero
+    forcing for the interleaved form) and the q^T rotation of the receive
+    vector.  Propagates :class:`DegenerateChannelError` for rank-deficient
     draws so the caller can redraw the channel, and raises ``ValueError``
     for a channel or received vector that is not finite.
     """
-    h = _square_complex(h)
-    n = h.shape[0]
+    h_real = real_form(h, representation)
+    n = len(h_real) // 2
     if len(np.asarray(y)) != n:
         raise ValueError("received vector length does not match the channel")
-    h_real = _interleave(h)
     y_real = complex_to_rails(y)
     if not all(map(math.isfinite, y_real.tolist())):
         raise ValueError("received vector is not finite")
     pair_zeros = representation is Representation.INTERLEAVED
     if not pair_zeros:
-        h_real = h_real[_stacked_grid(n)]
         y_real = y_real[symbol_order(n, representation)]
     factors = gram_schmidt_qr(h_real, pair_zeros=pair_zeros)
     y_hat = factors.q.T @ y_real
@@ -192,10 +313,3 @@ def build_problem(h, y, representation):
         n=n,
         preproc_flops=preprocessing_flops(2 * n),
     )
-
-
-def _square_complex(h):
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square channel matrix, got {h.shape}")
-    return h

@@ -28,13 +28,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .detectors import (
+    KBEST_CAPS,
     ML_CANDIDATE_GUARD,
     ml_exhaustive,
     sd_conventional,
     sd_proposed,
 )
-from .lattice import RadiusPolicy, Representation, build_problem, to_pair_order
-from .linalg import DegenerateChannelError
+from .lattice import (
+    DegenerateChannelError,
+    RadiusPolicy,
+    Representation,
+    build_problem,
+    to_pair_order,
+)
 from .modem import (
     Constellation,
     bits_to_symbols,
@@ -122,6 +128,10 @@ class SimConfig:
                     f"candidates, above the {ML_CANDIDATE_GUARD} guard; drop "
                     "detector 'ml' or reduce the antennas or QAM order"
                 )
+        if ("sd-new" in self.detectors and self.n_antennas > 2
+                and (self.n_antennas, c.order) not in KBEST_CAPS):
+            raise ValueError(f"no K-best caps defined for N={self.n_antennas}, "
+                             f"{c.order}-QAM")
 
     def snr_points(self):
         pts = []

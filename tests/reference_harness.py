@@ -13,13 +13,15 @@ the package's versions to give array-equal draws, R, y_hat and
 import numpy as np
 
 from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed
-from spheredec.lattice import LatticeProblem, Representation, symbol_order
-from spheredec.linalg import (
+from spheredec.lattice import (
     PAIR_ZERO_TOL,
     RANK_TOL,
     DegenerateChannelError,
+    LatticeProblem,
     QrFactors,
+    Representation,
     preprocessing_flops,
+    symbol_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, symbols_to_bits
 from spheredec.sim import (

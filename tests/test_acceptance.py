@@ -16,10 +16,9 @@ from spheredec.lattice import (
     RadiusPolicy,
     Representation,
     build_problem,
-    interleave,
-    stack_real,
+    gram_schmidt_qr,
+    real_form,
 )
-from spheredec.linalg import gram_schmidt_qr
 from spheredec.modem import bits_to_symbols, make_constellation, quantize_rail, symbols_to_bits
 from spheredec.sim import SimConfig, draw_instance, run_sweep, sigma_for_snr, trial_rng
 
@@ -64,7 +63,7 @@ def test_criterion_1_zero_structure():
         for _ in range(1000):
             h = np.sqrt(0.5) * (rng.standard_normal((n, n))
                                 + 1j * rng.standard_normal((n, n)))
-            f = gram_schmidt_qr(interleave(h), pair_zeros=True)
+            f = gram_schmidt_qr(real_form(h, Representation.INTERLEAVED), pair_zeros=True)
             worst = max(worst, f.zero_structure_max)
     _report("criterion 1 (interleaved QR zero structure)", worst < 1e-9,
             f"max |r[k,k+1]| pre-forcing = {worst:.3e} over 3000 draws (bound 1e-9)")
@@ -182,7 +181,7 @@ def test_criterion_7_property_suite():
             x = to_representation_order(bits_to_symbols(bits, c16, n), rep).astype(float)
             y = h @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             p = build_problem(h, y, rep)
-            h_re = interleave(h) if rep is Representation.INTERLEAVED else stack_real(h)
+            h_re = real_form(h, rep)
             direct = float(np.sum((reorder_received(y, rep) - h_re @ x) ** 2))
             rotated = float(np.sum((p.y_hat - p.r @ x) ** 2))
             assert abs(rotated - direct) <= 1e-6 * (1.0 + direct)

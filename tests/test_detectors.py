@@ -21,8 +21,7 @@ from spheredec.lattice import (
     RadiusPolicy,
     Representation,
     build_problem,
-    interleave,
-    stack_real,
+    real_form,
     to_pair_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
@@ -46,7 +45,7 @@ def random_instance(rng, n, c, sigma_sq):
 
 def brute_force_pre_rotation(h, y, c, n, representation):
     """Independent oracle: nested-loop minimization of ||y_re - H_re x||^2."""
-    h_re = stack_real(h) if representation is Representation.STACKED else interleave(h)
+    h_re = real_form(h, representation)
     y_re = reorder_received(y, representation)
     best_w, best_x = np.inf, None
     for combo in itertools.product(c.rail, repeat=2 * n):
@@ -416,7 +415,8 @@ class TestRecomputeWeight:
             x = to_representation_order(bits_to_symbols(bits, c, 3),
                                         Representation.INTERLEAVED).astype(float)
             direct = float(np.sum(
-                (reorder_received(y, Representation.INTERLEAVED) - interleave(h) @ x) ** 2))
+                (reorder_received(y, Representation.INTERLEAVED)
+                 - real_form(h, Representation.INTERLEAVED) @ x) ** 2))
             assert abs(recompute_weight(p, x) - direct) <= 1e-6 * (1.0 + direct)
 
     def test_detector_weights_are_canonical(self):

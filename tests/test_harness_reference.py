@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import reference_harness as ref
-from spheredec import lattice, linalg, sim
-from spheredec.lattice import Representation, interleave, symbol_order
+from spheredec import lattice, sim
+from spheredec.lattice import Representation, real_form, symbol_order
 from spheredec.modem import make_constellation
 from spheredec.sim import SimConfig, sigma_for_snr, trial_rng
 
@@ -66,12 +66,12 @@ def test_qr_and_build_bitwise(n, mod, detectors, snrs):
     sigma_sq = sigma_for_snr(snrs[0], c, n)
     for t in range(DRAWS):
         inst = ref.draw_instance(ref.trial_rng(8, 0, t), cfg, sigma_sq)
-        assert_same_bits(interleave(inst.h), ref.interleave(inst.h))
         for rep in Representation:
             order = symbol_order(n, rep)
             h_real = ref.interleave(inst.h)[np.ix_(order, order)]
+            assert_same_bits(real_form(inst.h, rep), h_real)
             pair = rep is Representation.INTERLEAVED
-            got = linalg.gram_schmidt_qr(h_real, pair_zeros=pair)
+            got = lattice.gram_schmidt_qr(h_real, pair_zeros=pair)
             want = ref.gram_schmidt_qr(h_real, pair_zeros=pair)
             assert_same_bits(got.q, want.q)
             assert_same_bits(got.r, want.r)

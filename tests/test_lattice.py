@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from spheredec.lattice import (
+    DegenerateChannelError,
     LatticeProblem,
     RadiusPolicy,
     Representation,
     build_problem,
-    interleave,
-    stack_real,
+    real_form,
     to_pair_order,
 )
-from spheredec.linalg import DegenerateChannelError
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
 
 from conftest import reorder_received, to_representation_order
@@ -24,12 +23,12 @@ def random_channel(rng, n):
 
 class TestStackReal:
     def test_1x1_pattern(self):
-        out = stack_real(np.array([[1 + 2j]]))
+        out = real_form(np.array([[1 + 2j]]), Representation.STACKED)
         assert np.array_equal(out, np.array([[1.0, -2.0], [2.0, 1.0]]))
 
     def test_real_channel_block_diagonal(self):
         h = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        out = stack_real(h)
+        out = real_form(h, Representation.STACKED)
         assert np.array_equal(out[:2, :2], h.real)
         assert np.array_equal(out[2:, 2:], h.real)
         assert np.array_equal(out[:2, 2:], np.zeros((2, 2)))
@@ -37,7 +36,7 @@ class TestStackReal:
     def test_index_map_oracle(self):
         rng = np.random.default_rng(41)
         h = random_channel(rng, 2)
-        out = stack_real(h)
+        out = real_form(h, Representation.STACKED)
         for i in range(2):
             for j in range(2):
                 assert out[i, j] == h[i, j].real
@@ -47,18 +46,19 @@ class TestStackReal:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            stack_real(np.ones((2, 3), dtype=complex))
+            real_form(np.ones((2, 3), dtype=complex), Representation.STACKED)
 
 
 class TestInterleave:
     def test_1x1_matches_stacked(self):
         h = np.array([[1 + 2j]])
-        assert np.array_equal(interleave(h), stack_real(h))
+        assert np.array_equal(real_form(h, Representation.INTERLEAVED),
+                              real_form(h, Representation.STACKED))
 
     def test_index_map_oracle(self):
         rng = np.random.default_rng(42)
         h = random_channel(rng, 2)
-        out = interleave(h)
+        out = real_form(h, Representation.INTERLEAVED)
         for i in range(2):
             for j in range(2):
                 assert out[2 * i, 2 * j] == h[i, j].real
@@ -75,8 +75,9 @@ class TestInterleave:
         perm = np.empty(2 * n, dtype=int)
         perm[0::2] = np.arange(n)
         perm[1::2] = np.arange(n) + n
-        st = stack_real(h)
-        assert np.array_equal(interleave(h), st[np.ix_(perm, perm)])
+        st = real_form(h, Representation.STACKED)
+        assert np.array_equal(real_form(h, Representation.INTERLEAVED),
+                              st[np.ix_(perm, perm)])
 
 
 class TestReorderReceived:
@@ -186,8 +187,7 @@ class TestBuildProblem:
 
     def test_objective_equivalence(self):
         # || y_hat - R x ||^2 equals the pre-rotation || y_re - H_re x ||^2
-        for rep, build in ((Representation.STACKED, stack_real),
-                           (Representation.INTERLEAVED, interleave)):
+        for rep in Representation:
             for _ in range(50):
                 n = int(self.rng.integers(2, 5))
                 h, s, _ = self._instance(n)
@@ -197,7 +197,8 @@ class TestBuildProblem:
                 x = to_representation_order(
                     bits_to_symbols(bits, self.c, n), rep).astype(float)
                 rotated = float(np.sum((p.y_hat - p.r @ x) ** 2))
-                direct = float(np.sum((reorder_received(y, rep) - build(h) @ x) ** 2))
+                direct = float(np.sum(
+                    (reorder_received(y, rep) - real_form(h, rep) @ x) ** 2))
                 assert abs(rotated - direct) <= 1e-6 * (1.0 + direct)
 
     def test_degenerate_channel_propagates(self):

@@ -1,13 +1,16 @@
-"""Tests for matrix helpers and the classical Gram-Schmidt QR."""
+"""Tests for the classical Gram-Schmidt QR and its operation count."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from spheredec.lattice import interleave
-from spheredec.linalg import (
+from spheredec.lattice import (
     DegenerateChannelError,
+    Representation,
     gram_schmidt_qr,
     preprocessing_flops,
+    real_form,
 )
 
 
@@ -19,8 +22,9 @@ def householder_qr_positive(h):
     return q * signs[None, :], r * signs[:, None]
 
 
-def random_complex(rng, n):
-    return np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+def random_interleaved(rng, n):
+    h = np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return real_form(h, Representation.INTERLEAVED)
 
 
 class TestGramSchmidtQr:
@@ -72,12 +76,24 @@ class TestGramSchmidtQr:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("pair_zeros", [False, True])
     def test_non_finite_rejected(self, bad, pair_zeros):
-        h = interleave(np.eye(2, dtype=complex))
+        h = real_form(np.eye(2, dtype=complex), Representation.INTERLEAVED)
         h[3, 2] = bad
         with pytest.raises(ValueError, match="not finite"):
             gram_schmidt_qr(h, pair_zeros=pair_zeros)
         with pytest.raises(ValueError, match="not finite"):
             gram_schmidt_qr(np.full((4, 4), bad), pair_zeros=pair_zeros)
+
+    @pytest.mark.parametrize("pair_zeros", [False, True])
+    def test_overflowing_input_rejected(self, pair_zeros):
+        # squared column norms of 1e200 entries overflow; the check must
+        # raise before any arithmetic, so no RuntimeWarning either
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h in (np.eye(4) * 1e200, -np.eye(4) * 1e150):
+                with pytest.raises(ValueError, match="could overflow"):
+                    gram_schmidt_qr(h, pair_zeros=pair_zeros)
+            f = gram_schmidt_qr(np.eye(4) * 1e149, pair_zeros=pair_zeros)
+        assert np.allclose(f.r, np.eye(4) * 1e149, rtol=1e-15, atol=0.0)
 
 
 class TestInterleavedZeroStructure:
@@ -87,7 +103,7 @@ class TestInterleavedZeroStructure:
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 4, 5, 6):
             for _ in range(1000):
-                f = gram_schmidt_qr(interleave(random_complex(rng, n)), pair_zeros=True)
+                f = gram_schmidt_qr(random_interleaved(rng, n), pair_zeros=True)
                 assert f.zero_structure_max < 1e-9
                 for k in range(0, 2 * n, 2):
                     assert f.r[k, k + 1] == 0.0
@@ -97,7 +113,7 @@ class TestInterleavedZeroStructure:
         # by construction, before any factorization
         rng = np.random.default_rng(12)
         for n in (2, 4, 6):
-            hi = interleave(random_complex(rng, n))
+            hi = random_interleaved(rng, n)
             for k in range(0, 2 * n, 2):
                 assert abs(hi[:, k] @ hi[:, k + 1]) < 1e-12
                 assert abs(hi[:, k] @ hi[:, k] - hi[:, k + 1] @ hi[:, k + 1]) < 1e-12
@@ -108,7 +124,7 @@ class TestInterleavedZeroStructure:
         rng = np.random.default_rng(13)
         for n in (2, 4, 6):
             for _ in range(200):
-                f = gram_schmidt_qr(interleave(random_complex(rng, n)), pair_zeros=True)
+                f = gram_schmidt_qr(random_interleaved(rng, n), pair_zeros=True)
                 d = np.diag(f.r)
                 for k in range(0, 2 * n, 2):
                     assert abs(d[k] - d[k + 1]) < 1e-9

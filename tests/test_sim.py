@@ -219,6 +219,12 @@ class TestRunSweep:
         SimConfig(seed=2**128 - 1)
         with pytest.raises(ValueError, match="guard"):
             SimConfig(n_antennas=6, mod_order=64, detectors=("ml",))
+        # sd-new needs a K-best caps entry above N=2; the sweep would
+        # otherwise fail inside its first trial
+        for n in (3, 5):
+            with pytest.raises(ValueError, match=f"no K-best caps defined for N={n}"):
+                SimConfig(n_antennas=n, detectors=("sd-new",))
+            SimConfig(n_antennas=n, detectors=("sd-conv",))
         SimConfig(n_antennas=6, mod_order=16, detectors=("ml",))
         with pytest.raises(ValueError, match="QAM order"):
             SimConfig(mod_order=32, detectors=("sd-new",))
