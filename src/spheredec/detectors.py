@@ -110,6 +110,14 @@ KBEST_CAPS = {
 }
 
 
+def kbest_caps(n, c):
+    """:func:`sd_proposed`'s default caps: the ``KBEST_CAPS`` entry, () at N <= 2."""
+    caps = KBEST_CAPS.get((n, c.order), ())
+    if n > 2 and not caps:
+        raise ValueError(f"no K-best caps defined for N={n}, {c.order}-QAM")
+    return caps
+
+
 def recompute_weight(p: LatticeProblem, x) -> float:
     """Canonical objective value ||y_hat - R x||^2 for a symbol vector."""
     x = np.asarray(x, dtype=float)
@@ -137,6 +145,16 @@ def _result(p, leaf, *, restarts, nodes, adds, mults, divs, comparisons):
                            comparisons)
 
 
+def ml_candidate_count(n, c):
+    """Candidates :func:`ml_exhaustive` scans at N = ``n``; raises above the guard."""
+    total = c.mu ** (2 * n)
+    if total > ML_CANDIDATE_GUARD:
+        raise ValueError(f"detector 'ml' needs {c.mu}^{2 * n} = {total} candidates, "
+                         f"above the {ML_CANDIDATE_GUARD} guard; drop detector 'ml' "
+                         "or reduce the antennas or QAM order")
+    return total
+
+
 def ml_exhaustive(p: LatticeProblem, c: Constellation):
     """Globally minimal weight by exhaustive enumeration of the rail set.
 
@@ -147,12 +165,7 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
     number of candidates.  Rejects search spaces above ``ML_CANDIDATE_GUARD``.
     """
     m = 2 * p.n
-    total = c.mu ** m
-    if total > ML_CANDIDATE_GUARD:
-        raise ValueError(
-            f"exhaustive search over {c.mu}^{m} = {total} candidates exceeds "
-            f"the {ML_CANDIDATE_GUARD} guard"
-        )
+    total = ml_candidate_count(p.n, c)
     rt = p.r.T.copy()
     y_hat = p.y_hat
 
@@ -306,17 +319,13 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     radius policy's restarts, ending in an unconstrained pass.
 
     ``caps`` lists one survivor cap per middle symbol layer, top layer
-    first, for 1 to N - 2 layers; it defaults to the ``KBEST_CAPS`` entry
-    for (N, order), and to no layers at N <= 2.
+    first, for 1 to N - 2 layers; it defaults to :func:`kbest_caps`.
     """
     if p.representation is not Representation.INTERLEAVED:
         raise ValueError("sd_proposed requires the interleaved representation")
     n = p.n
     layers = max(n - 2, 0)  # middle symbol layers
-    if caps is None:
-        caps = KBEST_CAPS.get((n, c.order), ())
-        if layers and not caps:
-            raise ValueError(f"no K-best caps defined for N={n}, {c.order}-QAM")
+    caps = kbest_caps(n, c) if caps is None else caps
     if any(cap < 1 for cap in caps):
         raise ValueError(f"K-best caps {tuple(caps)} must all be >= 1")
     if len(caps) > layers or layers and not caps:

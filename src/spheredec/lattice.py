@@ -44,8 +44,8 @@ RANK_TOL = 1e-12
 # before they are snapped to exact 0.0.
 PAIR_ZERO_TOL = 1e-9
 
-# Largest entry magnitude the QR accepts: below it, the squared column norm
-# of an m x m matrix stays under m * 1e300, finite for any m below 1e8.
+# Largest entry magnitude of a channel or received vector: below it, the squared
+# column norm of an m x m matrix stays under m * 1e300, finite for any m < 1e8.
 MAX_ENTRY = 1e150
 
 
@@ -86,7 +86,7 @@ class RadiusPolicy:
     @classmethod
     def for_noise(cls, sigma_sq, n, dimension="2n"):
         if dimension not in ("n", "2n"):
-            raise ValueError(f"dimension must be 'n' or '2n', got {dimension!r}")
+            raise ValueError(f"radius_dimension {dimension!r} is not 'n' or '2n'")
         dim = 2 * n if dimension == "2n" else n
         return cls(initial_sq=2.0 * sigma_sq * dim)
 
@@ -292,15 +292,15 @@ def build_problem(h, y, representation):
     forcing for the interleaved form) and the q^T rotation of the receive
     vector.  Propagates :class:`DegenerateChannelError` for rank-deficient
     draws so the caller can redraw the channel, and raises ``ValueError``
-    for a channel or received vector that is not finite.
+    for a channel or received vector that is not finite or not below ``MAX_ENTRY``.
     """
     h_real = real_form(h, representation)
     n = len(h_real) // 2
     if len(np.asarray(y)) != n:
         raise ValueError("received vector length does not match the channel")
     y_real = complex_to_rails(y)
-    if not all(map(math.isfinite, y_real.tolist())):
-        raise ValueError("received vector is not finite")
+    if not all(map(MAX_ENTRY.__gt__, map(abs, y_real.tolist()))):  # also NaN
+        raise ValueError(f"received vector is not finite or not below {MAX_ENTRY:g}")
     pair_zeros = representation is Representation.INTERLEAVED
     if not pair_zeros:
         y_real = y_real[symbol_order(n, representation)]

@@ -28,13 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .detectors import (
-    KBEST_CAPS,
-    ML_CANDIDATE_GUARD,
+    kbest_caps,
+    ml_candidate_count,
     ml_exhaustive,
     sd_conventional,
     sd_proposed,
 )
 from .lattice import (
+    MAX_ENTRY,
     DegenerateChannelError,
     RadiusPolicy,
     Representation,
@@ -49,13 +50,13 @@ from .modem import (
     symbols_to_bits,
 )
 
-DETECTOR_NAMES = ("ml", "sd-conv", "sd-new")
-
 _DETECTOR_REPRESENTATION = {
     "ml": Representation.STACKED,
     "sd-conv": Representation.STACKED,
     "sd-new": Representation.INTERLEAVED,
 }
+
+DETECTOR_NAMES = tuple(_DETECTOR_REPRESENTATION)
 
 # Per-real-dimension standard deviation of a unit-variance complex Gaussian.
 _HALF_SQRT = math.sqrt(0.5)
@@ -66,6 +67,9 @@ _MAX_REDRAWS = 100
 # Longest SNR grid a sweep accepts; bounds the grid loop, which a step too
 # small to move the start value would otherwise never leave.
 MAX_SNR_POINTS = 1000
+
+# Noise variance limit: its deviation stays 1000x below the bound on y, MAX_ENTRY.
+_MAX_NOISE_VAR = (MAX_ENTRY / 1e3) ** 2
 
 
 @dataclass(frozen=True)
@@ -106,32 +110,13 @@ class SimConfig:
             raise ValueError("each detector may be listed only once")
         if self.n_antennas < 1:
             raise ValueError("n_antennas must be at least 1")
-        if self.radius_dimension not in ("n", "2n"):
-            raise ValueError(
-                f"radius_dimension must be 'n' or '2n', got {self.radius_dimension!r}"
-            )
         c = make_constellation(self.mod_order)  # rejects unsupported orders
         for snr_db in self.snr_points():
-            try:
-                sigma_sq = sigma_for_snr(snr_db, c, self.n_antennas)
-            except (OverflowError, ZeroDivisionError):
-                sigma_sq = math.nan
-            if not 0.0 < sigma_sq < math.inf:
-                raise ValueError(f"SNR {snr_db:g} dB gives a noise variance "
-                                 "that is not finite and positive")
-        mu = c.mu
+            _point(self, snr_db)  # rejects a bad noise variance or radius_dimension
         if "ml" in self.detectors:
-            space = mu ** (2 * self.n_antennas)
-            if space > ML_CANDIDATE_GUARD:
-                raise ValueError(
-                    f"detector 'ml' needs {mu}^{2 * self.n_antennas} = {space} "
-                    f"candidates, above the {ML_CANDIDATE_GUARD} guard; drop "
-                    "detector 'ml' or reduce the antennas or QAM order"
-                )
-        if ("sd-new" in self.detectors and self.n_antennas > 2
-                and (self.n_antennas, c.order) not in KBEST_CAPS):
-            raise ValueError(f"no K-best caps defined for N={self.n_antennas}, "
-                             f"{c.order}-QAM")
+            ml_candidate_count(self.n_antennas, c)
+        if "sd-new" in self.detectors:
+            kbest_caps(self.n_antennas, c)
 
     def snr_points(self):
         pts = []
@@ -219,8 +204,6 @@ def _philox_key_type():
 def draw_channel(rng, n):
     """N x N channel with i.i.d. unit-variance circular complex Gaussian
     entries (variance 0.5 per real dimension)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
     h = np.empty((n, n), dtype=complex)
     h.real = rng.standard_normal((n, n))
     h.imag = rng.standard_normal((n, n))
@@ -230,7 +213,14 @@ def draw_channel(rng, n):
 
 def sigma_for_snr(snr_db, c, n):
     """Total complex noise variance for a per-receive-antenna SNR in dB."""
-    return n * c.avg_symbol_energy / 10.0 ** (snr_db / 10.0)
+    try:
+        sigma_sq = n * c.avg_symbol_energy / 10.0 ** (snr_db / 10.0)
+    except (OverflowError, ZeroDivisionError):
+        sigma_sq = math.nan
+    if not 0.0 < sigma_sq < _MAX_NOISE_VAR:
+        raise ValueError(f"SNR {snr_db:g} dB gives a noise variance outside "
+                         f"(0, {_MAX_NOISE_VAR:g})")
+    return sigma_sq
 
 
 def draw_instance(rng, cfg, sigma_sq):

@@ -115,7 +115,10 @@ class TestParseArgs:
             env=subprocess_env(**env), capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.splitlines()[-1].startswith("spheredec: error: ")
+        lines = proc.stderr.splitlines()
+        assert lines[-1].startswith("spheredec: error: ")
+        # the usage block, then that one line
+        assert [line for line in lines if not line.startswith(("usage: ", " "))] == lines[-1:]
 
 
 class TestEmitResults:

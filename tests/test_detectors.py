@@ -119,6 +119,29 @@ class TestMlExhaustive:
             ml_exhaustive(p, c)
 
 
+@pytest.mark.filterwarnings("error")
+class TestReceivedVectorBound:
+    """build_problem bounds y as the QR bounds H, so no detector's squared
+    distance can overflow."""
+
+    @pytest.mark.parametrize("y", [[1e200, 0], [1e308, 1e308]])
+    @pytest.mark.parametrize("rep", list(Representation))
+    def test_oversized_entry_rejected(self, y, rep):
+        with pytest.raises(ValueError, match=r"received vector .* below 1e\+150"):
+            build_problem(np.eye(2), np.array(y, dtype=complex), rep)
+
+    def test_largest_accepted_entry_detects(self):
+        c = make_constellation(16)
+        y = np.array([1e149, 0], dtype=complex)
+        policy = RadiusPolicy.for_noise(1.0, 2)
+        stacked = build_problem(np.eye(2), y, Representation.STACKED)
+        interleaved = build_problem(np.eye(2), y, Representation.INTERLEAVED)
+        weights = {ml_exhaustive(stacked, c).weight,
+                   sd_conventional(stacked, c, policy).weight,
+                   sd_proposed(interleaved, c, policy).weight}
+        assert len(weights) == 1 and np.isfinite(weights.pop())
+
+
 class TestSdConventional:
     def test_noiseless(self):
         rng = np.random.default_rng(60)

@@ -1,10 +1,14 @@
 """Tests for the Monte Carlo harness: channels, SNR, trials, sweeps."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spheredec.detectors import ml_exhaustive, sd_proposed
+from spheredec.lattice import RadiusPolicy, Representation, build_problem
 from spheredec.modem import make_constellation, rails_to_complex
 from spheredec.sim import (
     ChannelInstance,
@@ -19,7 +23,7 @@ from spheredec.sim import (
     trial_rng,
 )
 
-from conftest import binomial_ci
+from conftest import binomial_ci, subprocess_env
 
 
 class TestDrawChannel:
@@ -234,6 +238,57 @@ class TestRunSweep:
             SimConfig(radius_dimension="3n", detectors=("sd-new",))
         with pytest.raises(ValueError, match="workers"):
             run_sweep(self._tiny_cfg(trials_per_point=1), workers=0)
+
+
+def _message(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
+
+class TestConfigRules:
+    """SimConfig rejects a bad sweep by asking the code that uses each value,
+    so it raises that code's own message."""
+
+    def test_one_message_per_rule(self):
+        c16, c64 = make_constellation(16), make_constellation(64)
+        ml_problem = build_problem(np.eye(6), np.zeros(6), Representation.STACKED)
+        assert (_message(SimConfig, n_antennas=6, mod_order=64, detectors=("ml",))
+                == _message(ml_exhaustive, ml_problem, c64))
+        kbest_problem = build_problem(np.eye(3), np.zeros(3), Representation.INTERLEAVED)
+        assert (_message(SimConfig, n_antennas=3, detectors=("sd-new",))
+                == _message(sd_proposed, kbest_problem, c16,
+                            RadiusPolicy.for_noise(1.0, 3)))
+        assert (_message(SimConfig, snr_start_db=4000.0, snr_stop_db=4000.0)
+                == _message(sigma_for_snr, 4000.0, c16, 2))
+        assert (_message(SimConfig, radius_dimension="3n")
+                == _message(RadiusPolicy.for_noise, 1.0, 2, dimension="3n"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_noise_variance_stays_inside_the_received_vector_bound(self):
+        # a sweep the config accepts never draws a y that build_problem rejects
+        kw = dict(detectors=("ml", "sd-conv", "sd-new"), trials_per_point=20)
+        with pytest.raises(ValueError, match="noise variance"):
+            SimConfig(snr_start_db=-3000.0, snr_stop_db=-3000.0, **kw)
+        cfg = SimConfig(snr_start_db=-2900.0, snr_stop_db=-2900.0, **kw)
+        assert [r.trials for r in run_sweep(cfg, workers=1)] == [20] * 3
+
+    def test_rules_hold_under_optimize(self):
+        # the checks are raises, not asserts, so -O keeps them
+        code = ("from spheredec.sim import SimConfig\n"
+                "for kw in ({'radius_dimension': '3n'},\n"
+                "           {'n_antennas': 3, 'detectors': ('sd-new',)}):\n"
+                "    try:\n"
+                "        SimConfig(**kw)\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            _message(SimConfig, radius_dimension="3n"),
+            _message(SimConfig, n_antennas=3, detectors=("sd-new",)),
+        ]
 
 
 class TestBinomialCi:
