@@ -58,30 +58,30 @@ class Representation(enum.Enum):
     INTERLEAVED = "interleaved"
 
 
+# Empty-sphere restart schedule (Hassibi & Vikalo): d^2 doubles after each
+# empty pass, at most MAX_RESTARTS times, then one unconstrained pass runs.
+# Every pass adds to a detection's tallies, so this fixed schedule is part of
+# the counting convention.
+RADIUS_GROWTH = 2.0
+MAX_RESTARTS = 20
+
+
 @dataclass(frozen=True)
 class RadiusPolicy:
-    """Initial squared sphere radius plus the empty-sphere restart rule.
+    """Initial squared sphere radius of the empty-sphere restart rule.
 
     ``initial_sq`` should normally come from :meth:`for_noise`, which uses
     d^2 = 2 * sigma^2 * dim with dim the real search dimension 2N (the
     ``dimension="n"`` variant uses the complex dimension N instead; the
-    restart rule makes detection correct under either choice).  When a
-    search pass finds no lattice point inside the sphere the radius is
-    multiplied by ``growth`` and the pass rerun, at most ``max_restarts``
-    times, after which an unconstrained (infinite-radius) pass runs.
+    restart rule makes detection correct under either choice).  A pass that
+    finds no lattice point inside the sphere reruns on the schedule above.
     """
 
     initial_sq: float
-    growth: float = 2.0
-    max_restarts: int = 20
 
     def __post_init__(self):
         if not self.initial_sq > 0:
             raise ValueError("initial_sq must be positive")
-        if not self.growth > 1:
-            raise ValueError("growth must exceed 1")
-        if self.max_restarts < 1:
-            raise ValueError("max_restarts must be at least 1")
 
     @classmethod
     def for_noise(cls, sigma_sq, n, dimension="2n"):
@@ -92,11 +92,11 @@ class RadiusPolicy:
 
     def radii(self):
         """Yield ``(attempt, d2)`` for each search pass: the initial squared
-        radius grown ``attempt`` times for attempt 0..max_restarts, then one
+        radius grown ``attempt`` times for attempt 0..MAX_RESTARTS, then one
         unconstrained pass at ``math.inf``."""
-        for attempt in range(self.max_restarts + 1):
-            yield attempt, self.initial_sq * self.growth ** attempt
-        yield self.max_restarts + 1, math.inf
+        for attempt in range(MAX_RESTARTS + 1):
+            yield attempt, self.initial_sq * RADIUS_GROWTH ** attempt
+        yield MAX_RESTARTS + 1, math.inf
 
     def first_leaf(self, search):
         """Run the pass ``search(d2)`` at each radius of :meth:`radii` until

@@ -19,6 +19,7 @@ and sequential execution.
 
 import functools
 import math
+import numbers
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -87,6 +88,15 @@ class SimConfig:
     radius_dimension: str = "2n"
 
     def __post_init__(self):
+        for name, low in (("n_antennas", 1), ("trials_per_point", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}")
+            object.__setattr__(self, name, int(value))  # a numpy integer too
+        if self.seed >= 2**128:  # the Philox key is 128-bit
+            raise ValueError("seed must be below 2**128")
         if not all(math.isfinite(v) for v in
                    (self.snr_start_db, self.snr_stop_db, self.snr_step_db)):
             raise ValueError("SNR start, stop and step must be finite")
@@ -97,19 +107,14 @@ class SimConfig:
             raise ValueError("snr_stop_db must not precede snr_start_db")
         if n_points > MAX_SNR_POINTS:
             raise ValueError(f"the SNR grid has more than {MAX_SNR_POINTS} points")
-        if not 0 <= self.seed < 2**128:  # the Philox key is 128-bit
-            raise ValueError("seed must be in [0, 2**128)")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be at least 1")
-        if not self.detectors:
-            raise ValueError("at least one detector is required")
+        if isinstance(self.detectors, str) or not self.detectors:
+            raise ValueError(f"detectors must be a non-empty sequence of names, "
+                             f"got {self.detectors!r}")
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ValueError(f"unknown detector {name!r}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("each detector may be listed only once")
-        if self.n_antennas < 1:
-            raise ValueError("n_antennas must be at least 1")
         c = make_constellation(self.mod_order)  # rejects unsupported orders
         for snr_db in self.snr_points():
             _point(self, snr_db)  # rejects a bad noise variance or radius_dimension
@@ -201,16 +206,6 @@ def _philox_key_type():
     return PhiloxKey
 
 
-def draw_channel(rng, n):
-    """N x N channel with i.i.d. unit-variance circular complex Gaussian
-    entries (variance 0.5 per real dimension)."""
-    h = np.empty((n, n), dtype=complex)
-    h.real = rng.standard_normal((n, n))
-    h.imag = rng.standard_normal((n, n))
-    h *= _HALF_SQRT
-    return h
-
-
 def sigma_for_snr(snr_db, c, n):
     """Total complex noise variance for a per-receive-antenna SNR in dB."""
     try:
@@ -224,16 +219,21 @@ def sigma_for_snr(snr_db, c, n):
 
 
 def draw_instance(rng, cfg, sigma_sq):
-    """Draw bits, symbols, channel, and noise for one trial (in that order)."""
+    """Draw bits, symbols, channel, and noise for one trial (in that order).
+
+    The channel's i.i.d. unit-variance circular complex Gaussian entries and
+    the noise come from one standard-normal call: Re h, Im h, Re v, Im v."""
     c = make_constellation(cfg.mod_order)
     n = cfg.n_antennas
     bits = rng.integers(0, 2, size=2 * n * c.bits_per_rail)
     x_pair = bits_to_symbols(bits, c, n)
     s = rails_to_complex(x_pair)
-    h = draw_channel(rng, n)
+    g = rng.standard_normal(2 * n * n + 2 * n)
+    h = np.empty((n, n), dtype=complex)
+    h.real, h.imag = g[:2 * n * n].reshape(2, n, n)
+    h *= _HALF_SQRT
     v = np.empty(n, dtype=complex)
-    v.real = rng.standard_normal(n)
-    v.imag = rng.standard_normal(n)
+    v.real, v.imag = g[2 * n * n:].reshape(2, n)
     v *= math.sqrt(sigma_sq / 2.0)
     return ChannelInstance(bits=bits, x_pair=x_pair, h=h, y=h @ s + v)
 
@@ -259,19 +259,17 @@ def _point(cfg, snr_db):
     return _Point(c=c, sigma_sq=sigma_sq, policy=policy, reps=reps)
 
 
-def run_trial(rng, cfg, snr_db, point=None):
+def run_trial(rng, cfg, point):
     """One end-to-end trial: one channel use through every detector.
 
     The instance is drawn once and the lattice problem of each
     representation the detectors need is built once, so every detector sees
     the same trial.  A draw that is rank deficient in a needed
     representation is redrawn (the stream simply continues), capped at 100
-    per trial.  ``point`` holds the objects shared by all trials at
-    ``snr_db`` and is built here when omitted.  Returns a one-trial
-    :class:`Tally` per detector, in ``cfg.detectors`` order.
+    per trial.  ``point`` holds the objects shared by all trials at one SNR
+    point (see :func:`_point`).  Returns a one-trial :class:`Tally` per
+    detector, in ``cfg.detectors`` order.
     """
-    if point is None:
-        point = _point(cfg, snr_db)
     c = point.c
     for _ in range(_MAX_REDRAWS):
         inst = draw_instance(rng, cfg, point.sigma_sq)
@@ -311,7 +309,7 @@ def _trial_block(cfg, snr_index, snr_db, lo, hi):
     point = _point(cfg, snr_db)
     sums = [Tally()] * len(cfg.detectors)
     for t in range(lo, hi):
-        tallies = run_trial(trial_rng(cfg.seed, snr_index, t), cfg, snr_db, point)
+        tallies = run_trial(trial_rng(cfg.seed, snr_index, t), cfg, point)
         sums = [a + b for a, b in zip(sums, tallies)]
     return sums
 

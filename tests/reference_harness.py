@@ -1,13 +1,18 @@
 """Test-only oracle: the per-trial harness as it stood before its lean-out,
 kept verbatim.
 
-Holds ``trial_rng``, ``draw_channel`` and ``draw_instance`` of
-``spheredec.sim``; ``interleave``, ``to_pair_order`` and ``build_problem``
-of ``spheredec.lattice``; ``rails_to_complex`` and ``complex_to_rails`` of
-``spheredec.modem``; ``gram_schmidt_qr`` of ``spheredec.linalg``; and the
-scoring loop of ``spheredec.sim.run_trial``.  ``tests/test_harness_reference.py`` requires
-the package's versions to give array-equal draws, R, y_hat and
-``zero_structure_max``, and equal per-detector tallies.
+Holds copies of functions as they were then, several of which the package
+has since merged or renamed: ``trial_rng``, ``draw_channel`` and
+``draw_instance`` of ``spheredec.sim`` (the channel draw is now part of
+``draw_instance``, which takes all its Gaussians in one call);
+``interleave``, ``to_pair_order`` and ``build_problem`` of
+``spheredec.lattice`` (``interleave`` is now ``real_form``);
+``rails_to_complex`` and ``complex_to_rails`` of ``spheredec.modem``;
+``gram_schmidt_qr`` of the former ``spheredec.linalg``, now in
+``spheredec.lattice``; and the scoring loop of ``spheredec.sim.run_trial``.
+``tests/test_harness_reference.py`` requires the package's versions to give
+array-equal draws, R, y_hat and ``zero_structure_max``, and equal
+per-detector tallies.
 """
 
 import numpy as np

@@ -17,6 +17,7 @@ from spheredec.detectors import (
     sd_proposed,
 )
 from spheredec.lattice import (
+    MAX_RESTARTS,
     LatticeProblem,
     RadiusPolicy,
     Representation,
@@ -171,11 +172,12 @@ class TestSdConventional:
         rng = np.random.default_rng(62)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
-        pol = RadiusPolicy(initial_sq=1e-12, growth=2.0, max_restarts=5)
+        pol = RadiusPolicy(initial_sq=1e-12)
         p = build_problem(h, y, Representation.STACKED)
         res = sd_conventional(p, c, pol)
         ml = ml_exhaustive(p, c)
         assert res.restarts >= 1
+        assert res.restarts == MAX_RESTARTS + 1  # 1e-12 * 2**20 is still empty
         assert res.weight == ml.weight
 
     def test_representation_guard(self):
@@ -246,11 +248,12 @@ class TestSdProposed:
         rng = np.random.default_rng(71)
         c = make_constellation(16)
         h, y, _ = random_instance(rng, 2, c, 1.0)
-        pol = RadiusPolicy(initial_sq=1e-12, growth=2.0, max_restarts=4)
+        pol = RadiusPolicy(initial_sq=1e-12)
         p = build_problem(h, y, Representation.INTERLEAVED)
         res = sd_proposed(p, c, pol)
         ml = ml_exhaustive(p, c)
         assert res.restarts >= 1
+        assert res.restarts == MAX_RESTARTS + 1  # 1e-12 * 2**20 is still empty
         assert res.weight == ml.weight
 
     def test_representation_guard(self):
@@ -458,6 +461,14 @@ class TestRecomputeWeight:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "disagrees with canonical" in proc.stderr
+
+
+def test_flops_excludes_comparisons():
+    res = DetectionResult(
+        x_hat=np.zeros(4), weight=0.0, nodes_visited=5, restarts=0,
+        adds=2, mults=3, divs=1, comparisons=10,
+    )
+    assert res.flops == 6
 
 
 @pytest.mark.parametrize("initial_sq, restarts", [(1.0, 0), (1e-9, 21)])

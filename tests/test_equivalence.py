@@ -34,6 +34,12 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 _SNR_DB = {16: (8.0, 24.0), 64: (14.0, 32.0)}  # low and high per order
 
+# Initial squared radius of the restart tests: after the schedule's 20
+# doublings the last finite radius is 1e-3 * 4**6 (radius_sq * 4**3 for the
+# dyadic problems), small enough that some detections reach the
+# unconstrained pass.
+_TINY_SQ = 1e-3 * 4**6 / 2**20
+
 
 def assert_same_result(a, b):
     assert np.array_equal(a.x_hat, b.x_hat)
@@ -73,7 +79,7 @@ def dyadic_problems(draw, max_n, representation, pair_zeros=True):
     radius_sq = draw(st.sampled_from([0.25, 1.0, 4.0, 16.0, 1e9]))
     c = make_constellation(draw(st.sampled_from([16, 64])))
     p = LatticeProblem(r=r, y_hat=y_hat, representation=representation, n=n)
-    return p, c, RadiusPolicy(initial_sq=radius_sq, growth=4.0, max_restarts=3)
+    return p, c, RadiusPolicy(initial_sq=radius_sq * 4**3 / 2**20)
 
 
 class TestProposedMatchesReference:
@@ -90,7 +96,7 @@ class TestProposedMatchesReference:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_tiny_radius_restarts(self, n):
         c = make_constellation(16)
-        policy = RadiusPolicy(initial_sq=1e-3, growth=4.0, max_restarts=6)
+        policy = RadiusPolicy(initial_sq=_TINY_SQ)
         restarts = 0
         for p, _ in seeded_problems(n, 16, 20.0, "2n", trials=10, policy=policy):
             res = sd_proposed(p, c, policy)
@@ -135,7 +141,7 @@ class TestConventionalMatchesReference:
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_tiny_radius_restarts(self, n):
         c = make_constellation(16)
-        policy = RadiusPolicy(initial_sq=1e-3, growth=4.0, max_restarts=6)
+        policy = RadiusPolicy(initial_sq=_TINY_SQ)
         restarts = 0
         for p, _ in seeded_problems(n, 16, 20.0, "2n", trials=10, policy=policy,
                                     representation=Representation.STACKED):

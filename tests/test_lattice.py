@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spheredec.lattice import (
+    MAX_RESTARTS,
     DegenerateChannelError,
     LatticeProblem,
     RadiusPolicy,
@@ -125,29 +126,28 @@ class TestRadiusPolicy:
         with pytest.raises(ValueError):
             RadiusPolicy(initial_sq=0.0)
         with pytest.raises(ValueError):
-            RadiusPolicy(initial_sq=1.0, growth=1.0)
-        with pytest.raises(ValueError):
-            RadiusPolicy(initial_sq=1.0, max_restarts=0)
-        with pytest.raises(ValueError):
             RadiusPolicy.for_noise(1.0, 2, dimension="3n")
 
     def test_radii_grow_then_unconstrained(self):
-        pol = RadiusPolicy(initial_sq=0.75, growth=3.0, max_restarts=2)
-        assert list(pol.radii()) == [(0, 0.75), (1, 2.25), (2, 6.75), (3, float("inf"))]
+        # the fixed schedule of the counting convention: 21 doublings, then inf
+        radii = list(RadiusPolicy(initial_sq=0.75).radii())
+        assert MAX_RESTARTS == 20
+        assert radii == [(a, 0.75 * 2**a) for a in range(21)] + [(21, float("inf"))]
+        assert radii[20] == (20, 786432.0)
 
     def test_first_leaf_counts_the_passes_before_it(self):
-        pol = RadiusPolicy(initial_sq=0.75, growth=3.0, max_restarts=2)
+        pol = RadiusPolicy(initial_sq=0.75)
         seen = []
 
         def search(d2):
             seen.append(d2)
             return "leaf" if d2 > 2.0 else None
 
-        assert pol.first_leaf(search) == (1, "leaf")
-        assert seen == [0.75, 2.25]
+        assert pol.first_leaf(search) == (2, "leaf")
+        assert seen == [0.75, 1.5, 3.0]
 
     def test_first_leaf_raises_when_even_the_unconstrained_pass_is_empty(self):
-        pol = RadiusPolicy(initial_sq=0.75, growth=3.0, max_restarts=2)
+        pol = RadiusPolicy(initial_sq=0.75)
         with pytest.raises(RuntimeError, match="unconstrained"):
             pol.first_leaf(lambda d2: None)
 

@@ -15,7 +15,7 @@ from spheredec.sim import (
     SimConfig,
     SweepRecord,
     Tally,
-    draw_channel,
+    _point,
     draw_instance,
     run_sweep,
     run_trial,
@@ -26,23 +26,29 @@ from spheredec.sim import (
 from conftest import binomial_ci, subprocess_env
 
 
+def drawn_channel(rng, n):
+    """The channel of one :func:`draw_instance` at N = n."""
+    cfg = SimConfig(n_antennas=n, detectors=("sd-conv",), trials_per_point=1)
+    return draw_instance(rng, cfg, 1.0).h
+
+
 class TestDrawChannel:
     def test_unit_mean_power(self):
         rng = np.random.default_rng(90)
-        h = draw_channel(rng, 100)  # 10^4 entries
-        samples = [np.mean(np.abs(draw_channel(rng, 100)) ** 2) for _ in range(10)]
+        h = drawn_channel(rng, 100)  # 10^4 entries
+        samples = [np.mean(np.abs(drawn_channel(rng, 100)) ** 2) for _ in range(10)]
         power = np.mean([np.mean(np.abs(h) ** 2)] + samples)
         assert abs(power - 1.0) < 0.02
 
     def test_deterministic_under_seed(self):
-        a = draw_channel(trial_rng(5, 1, 2), 4)
-        b = draw_channel(trial_rng(5, 1, 2), 4)
+        a = drawn_channel(trial_rng(5, 1, 2), 4)
+        b = drawn_channel(trial_rng(5, 1, 2), 4)
         assert np.array_equal(a, b)
 
     def test_entries_finite(self):
         rng = np.random.default_rng(91)
         for _ in range(10):
-            h = draw_channel(rng, 300)  # ~10^6 scalars total across loop
+            h = drawn_channel(rng, 300)  # ~10^6 scalars total across loop
             assert np.all(np.isfinite(h.real)) and np.all(np.isfinite(h.imag))
 
 
@@ -77,7 +83,7 @@ class TestRunTrial:
         cfg = SimConfig(n_antennas=2, mod_order=16,
                         detectors=("ml", "sd-conv", "sd-new"), trials_per_point=1)
         for t in range(20):
-            recs = run_trial(trial_rng(1, 0, t), cfg, snr_db=120.0)
+            recs = run_trial(trial_rng(1, 0, t), cfg, _point(cfg, 120.0))
             assert len(recs) == len(cfg.detectors)
             for rec in recs:
                 assert rec.bit_errors == 0
@@ -88,18 +94,18 @@ class TestRunTrial:
                         trials_per_point=1)
         solo_cfg = replace(cfg, detectors=("sd-conv",))
         for t in range(50):
-            a, b = run_trial(trial_rng(2, 0, t), cfg, snr_db=10.0)
+            a, b = run_trial(trial_rng(2, 0, t), cfg, _point(cfg, 10.0))
             # ml and sd-conv decide alike, so they make the same errors
             assert (a.bit_errors, a.symbol_errors) == (b.bit_errors, b.symbol_errors)
             assert a.preproc_flops == b.preproc_flops
             # the same stream shows the same trial whatever else runs
-            (solo,) = run_trial(trial_rng(2, 0, t), solo_cfg, snr_db=10.0)
+            (solo,) = run_trial(trial_rng(2, 0, t), solo_cfg, _point(solo_cfg, 10.0))
             assert solo == b
 
     def test_fields_finite(self):
         cfg = SimConfig(n_antennas=2, mod_order=64, detectors=("sd-new",),
                         trials_per_point=1)
-        (rec,) = run_trial(trial_rng(3, 0, 0), cfg, snr_db=5.0)
+        (rec,) = run_trial(trial_rng(3, 0, 0), cfg, _point(cfg, 5.0))
         assert rec.trials == 1
         assert rec.flops > 0 and rec.nodes > 0 and rec.preproc_flops > 0
 
@@ -140,7 +146,7 @@ class TestRunSweep:
         bits_per_trial = 2 * cfg.n_antennas * make_constellation(cfg.mod_order).bits_per_rail
         expected = []
         for i, snr_db in enumerate(cfg.snr_points()):
-            per_trial = [run_trial(trial_rng(cfg.seed, i, t), cfg, snr_db)
+            per_trial = [run_trial(trial_rng(cfg.seed, i, t), cfg, _point(cfg, snr_db))
                          for t in range(cfg.trials_per_point)]
             for d, name in enumerate(cfg.detectors):
                 cell = sum((tallies[d] for tallies in per_trial), Tally())
@@ -238,6 +244,27 @@ class TestRunSweep:
             SimConfig(radius_dimension="3n", detectors=("sd-new",))
         with pytest.raises(ValueError, match="workers"):
             run_sweep(self._tiny_cfg(trials_per_point=1), workers=0)
+        # a float, bool or str integer input fails when the config is built,
+        # not by truncation or inside the first trial
+        for kw in _NON_INTEGER_INPUTS:
+            (name,) = kw
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                SimConfig(detectors=("sd-conv",), **kw)
+        with pytest.raises(ValueError, match="'sd-new'"):
+            SimConfig(detectors="sd-new")
+
+    def test_numpy_integers_accepted(self):
+        cfg = self._tiny_cfg(n_antennas=np.int64(2), trials_per_point=np.int32(3),
+                             seed=np.uint64(9))
+        assert cfg == self._tiny_cfg(trials_per_point=3)
+        assert all(type(v) is int for v in (cfg.n_antennas, cfg.trials_per_point, cfg.seed))
+        assert run_sweep(cfg) == run_sweep(self._tiny_cfg(trials_per_point=3))
+
+
+# Non-integer values of integer inputs.  Unchecked, 2.5 trials would run 2,
+# and an n of 2.5 or True or a seed of 1.5 would fail inside the first trial.
+_NON_INTEGER_INPUTS = ({"trials_per_point": 2.5}, {"n_antennas": 2.5}, {"seed": 1.5},
+                       {"n_antennas": True}, {"trials_per_point": "3"}, {"seed": True})
 
 
 def _message(fn, *args, **kwargs):
@@ -275,9 +302,10 @@ class TestConfigRules:
 
     def test_rules_hold_under_optimize(self):
         # the checks are raises, not asserts, so -O keeps them
+        cases = ({"radius_dimension": "3n"}, {"n_antennas": 3, "detectors": ("sd-new",)},
+                 *_NON_INTEGER_INPUTS, {"detectors": "sd-new"})
         code = ("from spheredec.sim import SimConfig\n"
-                "for kw in ({'radius_dimension': '3n'},\n"
-                "           {'n_antennas': 3, 'detectors': ('sd-new',)}):\n"
+                f"for kw in {cases!r}:\n"
                 "    try:\n"
                 "        SimConfig(**kw)\n"
                 "    except ValueError as exc:\n"
@@ -285,10 +313,7 @@ class TestConfigRules:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == [
-            _message(SimConfig, radius_dimension="3n"),
-            _message(SimConfig, n_antennas=3, detectors=("sd-new",)),
-        ]
+        assert proc.stdout.splitlines() == [_message(SimConfig, **kw) for kw in cases]
 
 
 class TestBinomialCi:
