@@ -8,7 +8,9 @@ Example::
 CSV columns: snr_db, detector, n, mod, ber, ser, mean_flops,
 mean_preproc_flops, mean_nodes, trials, bit_errors, seed.  Floats are
 printed with 10 significant digits; fixed (seed, config) pairs produce
-byte-identical files.  ``LATTICE_SD_THREADS`` caps parallel trial workers.
+byte-identical files.  ``LATTICE_SD_THREADS`` (default 1, read here only)
+sets how many blocks each SNR point's trials are split into; the records
+do not depend on it, and at most one process per CPU is forked.
 """
 
 import argparse
@@ -17,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
-from .sim import DETECTOR_NAMES, SimConfig, SweepRecord, run_sweep, workers_from_env
+from .sim import DETECTOR_NAMES, SimConfig, SweepRecord, check_workers, run_sweep
 
 _MOD_FLAGS = {"16qam": 16, "64qam": 64}
 
@@ -30,6 +32,7 @@ class CliArgs:
     out_path: str
     format: str
     verbosity: int
+    workers: int
 
 
 def _parse_snr(text):
@@ -48,8 +51,7 @@ def parse_args(argv):
                         help="number of antennas on each side (default 2)")
     parser.add_argument("--mod", choices=sorted(_MOD_FLAGS), default="16qam",
                         help="QAM order (default 16qam)")
-    parser.add_argument("--detector", action="append", choices=DETECTOR_NAMES,
-                        dest="detectors", metavar="NAME",
+    parser.add_argument("--detector", action="append", dest="detectors", metavar="NAME",
                         help="detector to run; repeatable (default: all of "
                              f"{', '.join(DETECTOR_NAMES)})")
     parser.add_argument("--snr", default="0:2:20", metavar="START:STEP:STOP",
@@ -58,9 +60,9 @@ def parse_args(argv):
                         help="Monte Carlo trials per SNR point (default 20000)")
     parser.add_argument("--seed", type=int, default=42,
                         help="base RNG seed (default 42)")
-    parser.add_argument("--radius-dim", choices=("n", "2n"), default="2n",
+    parser.add_argument("--radius-dim", default="2n", metavar="DIM",
                         help="dimension used in the initial radius "
-                             "d^2 = 2*sigma^2*dim (default 2n)")
+                             "d^2 = 2*sigma^2*dim, 'n' or '2n' (default 2n)")
     parser.add_argument("--out", default="-", metavar="PATH",
                         help="output path, '-' for stdout (default)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -73,8 +75,13 @@ def parse_args(argv):
     except ValueError as exc:
         parser.error(f"invalid --snr {ns.snr!r}: {exc}")
 
+    threads = os.environ.get("LATTICE_SD_THREADS", "1")
     try:
-        workers_from_env()
+        workers = int(threads)
+        check_workers(workers)
+    except ValueError:
+        parser.error(f"LATTICE_SD_THREADS must be an integer >= 1, got {threads!r}")
+    try:
         cfg = SimConfig(
             n_antennas=ns.n,
             mod_order=_MOD_FLAGS[ns.mod],
@@ -94,7 +101,7 @@ def parse_args(argv):
         except OSError as exc:
             parser.error(f"cannot write --out {ns.out!r}: {exc.strerror}")
     return CliArgs(config=cfg, out_path=ns.out, format=ns.format,
-                   verbosity=ns.verbosity)
+                   verbosity=ns.verbosity, workers=workers)
 
 
 def _probe_writable(path):
@@ -151,7 +158,7 @@ def main(argv=None):
         print(f"sweep: {cfg.n_antennas}x{cfg.n_antennas} {cfg.mod_order}-QAM, "
               f"{len(pts)} SNR points x {cfg.trials_per_point} trials, "
               f"detectors {', '.join(cfg.detectors)}", file=sys.stderr)
-    records = run_sweep(cfg)
+    records = run_sweep(cfg, workers=args.workers)
     try:
         emit_results(records, args.format, args.out_path)
     except OSError as exc:

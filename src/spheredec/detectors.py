@@ -379,8 +379,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
             return None
         survivors.sort()
 
-        # Middle symbol layers (N >= 3): the best `cap` of the mu^2 rail
-        # pairs of every surviving prefix.  A pair weight is
+        # Step 2, middle symbol layers (N >= 3): the best `cap` of the mu^2
+        # rail pairs of every surviving prefix.  A pair weight is
         # (w_pre + t_im) + t_re with both terms sorted ascending, so each
         # scan below stops at the first pair that cannot make the cap:
         # one at or above the radius, or above the cap-th smallest weight
@@ -438,7 +438,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
             nxt.sort()
             survivors = nxt[:cap]
 
-        # Step 2: quantize the remaining low symbols per surviving prefix.
+        # Step 3: quantize the remaining low symbols per surviving prefix.
         # Leaf weights never fall below their prefix weight, so once a
         # prefix is heavier than the best leaf no later prefix can win.
         s = len(survivors)

@@ -88,18 +88,23 @@ class SimConfig:
     radius_dimension: str = "2n"
 
     def __post_init__(self):
-        for name, low in (("n_antennas", 1), ("trials_per_point", 1), ("seed", 0)):
+        # make_constellation, below, rejects an unsupported mod_order
+        for name, low in (("n_antennas", 1), ("mod_order", None),
+                          ("trials_per_point", 1), ("seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
+            if low is not None and value < low:
                 raise ValueError(f"{name} must be at least {low}")
             object.__setattr__(self, name, int(value))  # a numpy integer too
         if self.seed >= 2**128:  # the Philox key is 128-bit
             raise ValueError("seed must be below 2**128")
-        if not all(math.isfinite(v) for v in
-                   (self.snr_start_db, self.snr_stop_db, self.snr_step_db)):
-            raise ValueError("SNR start, stop and step must be finite")
+        for name in ("snr_start_db", "snr_stop_db", "snr_step_db"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError("SNR start, stop and step must be finite")
         if self.snr_step_db <= 0:
             raise ValueError("snr_step_db must be positive")
         n_points = len(self.snr_points())
@@ -112,7 +117,8 @@ class SimConfig:
                              f"got {self.detectors!r}")
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
-                raise ValueError(f"unknown detector {name!r}")
+                raise ValueError(f"unknown detector {name!r}; choose from "
+                                 f"{', '.join(DETECTOR_NAMES)}")
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("each detector may be listed only once")
         c = make_constellation(self.mod_order)  # rejects unsupported orders
@@ -314,32 +320,23 @@ def _trial_block(cfg, snr_index, snr_db, lo, hi):
     return sums
 
 
-def workers_from_env():
-    """Worker count from ``LATTICE_SD_THREADS``; 1 when it is unset."""
-    text = os.environ.get("LATTICE_SD_THREADS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"LATTICE_SD_THREADS must be an integer >= 1, got {text!r}")
-    return workers
+def check_workers(workers):
+    """Raise a one-line ValueError unless ``workers`` is an integer >= 1."""
+    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
+            or workers < 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
-def run_sweep(cfg, workers=None):
+def run_sweep(cfg, workers=1):
     """Run the full sweep and aggregate one SweepRecord per (SNR, detector).
 
     Each SNR point's trials are split into ``workers`` blocks, and all
-    blocks of the sweep share one process pool; the derived per-trial
-    streams and integer partial sums make the parallel result identical to
-    the sequential one.  No pool is started when ``workers`` is 1 or a
-    point has fewer than two trials per worker.  ``workers`` defaults to
-    the ``LATTICE_SD_THREADS`` environment variable, else 1.
+    blocks of the sweep share one process pool of at most one process per
+    CPU; the derived per-trial streams and integer partial sums make the
+    result identical for every ``workers``.  No pool is started when
+    ``workers`` is 1 or a point has fewer than two trials per worker.
     """
-    if workers is None:
-        workers = workers_from_env()
-    elif workers < 1:
-        raise ValueError("workers must be at least 1")
+    check_workers(workers)
     c = make_constellation(cfg.mod_order)
     bits_per_trial = 2 * cfg.n_antennas * c.bits_per_rail
     trials = cfg.trials_per_point
@@ -353,7 +350,8 @@ def run_sweep(cfg, workers=None):
     if blocks == 1:
         parts = map(_trial_block, *zip(*jobs))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        processes = min(workers, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_trial_block, *zip(*jobs)))
 
     cells = [[Tally()] * len(cfg.detectors) for _ in points]

@@ -9,7 +9,7 @@ import pytest
 
 from spheredec import cli
 from spheredec.cli import emit_results, main, parse_args, render_csv
-from spheredec.sim import SweepRecord
+from spheredec.sim import SimConfig, SweepRecord
 
 from conftest import subprocess_env
 
@@ -44,6 +44,11 @@ def sample_records():
                     mean_preproc_flops=242.0, mean_nodes=12.0,
                     trials=100, bit_errors=100, seed=42),
     ]
+
+
+# CLI arguments whose only check is SimConfig's, and the config they make.
+_LIBRARY_RULES = {("--detector", "zf"): {"detectors": ("zf",)},
+                  ("--radius-dim", "3n"): {"radius_dimension": "3n"}}
 
 
 class TestParseArgs:
@@ -106,6 +111,9 @@ class TestParseArgs:
         (["--snr", "4000:1:4000"], {}),
         (["--snr=-4000:1:-4000"], {}),
         (["--out", "/nonexistent-dir/x.csv"], {}),
+        (["--detector", "zf"], {}),
+        (["--radius-dim", "3n"], {}),
+        ([], {"LATTICE_SD_THREADS": "2.5"}),
     ])
     def test_bad_input_fails_fast(self, args, env):
         # a child interpreter under -O, so a hang cannot stall the suite and
@@ -119,6 +127,12 @@ class TestParseArgs:
         assert lines[-1].startswith("spheredec: error: ")
         # the usage block, then that one line
         assert [line for line in lines if not line.startswith(("usage: ", " "))] == lines[-1:]
+        # the CLI restates no library rule, so the user sees the library's text
+        config = _LIBRARY_RULES.get(tuple(args))
+        if config is not None:
+            with pytest.raises(ValueError) as exc:
+                SimConfig(**config)
+            assert lines[-1] == f"spheredec: error: {exc.value}"
 
 
 class TestEmitResults:
@@ -201,6 +215,18 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out.startswith(EXPECTED_HEADER)
 
+    def test_threads_leave_the_output_unchanged(self):
+        # a child interpreter, so the environment variable is read as the
+        # user sets it; 5 trials at 2 workers split into two pool blocks
+        def run(**env):
+            proc = subprocess.run([sys.executable, "-m", "spheredec", *self.ARGS],
+                                  env=subprocess_env(**env), capture_output=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        assert run(LATTICE_SD_THREADS="2") == run()
+
     def test_golden_regression(self, tmp_path):
         # determinism pin: schema plus exact values for a tiny fixed run
         out = tmp_path / "golden.csv"
@@ -217,7 +243,7 @@ class TestMain:
         assert out.read_text() == GOLDEN_TINY_SWEEP
 
 
-def _no_sweep(cfg):
+def _no_sweep(cfg, workers):
     raise RuntimeError("no sweep in this test")
 
 

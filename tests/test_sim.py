@@ -1,12 +1,15 @@
 """Tests for the Monte Carlo harness: channels, SNR, trials, sweeps."""
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+from spheredec import sim
 from spheredec.detectors import ml_exhaustive, sd_proposed
 from spheredec.lattice import RadiusPolicy, Representation, build_problem
 from spheredec.modem import make_constellation, rails_to_complex
@@ -242,29 +245,69 @@ class TestRunSweep:
             SimConfig(n_antennas=0, detectors=("sd-conv",))
         with pytest.raises(ValueError, match="radius_dimension"):
             SimConfig(radius_dimension="3n", detectors=("sd-new",))
-        with pytest.raises(ValueError, match="workers"):
-            run_sweep(self._tiny_cfg(trials_per_point=1), workers=0)
-        # a float, bool or str integer input fails when the config is built,
-        # not by truncation or inside the first trial
+        for workers in (0, 2.5, "2", True):
+            with pytest.raises(ValueError, match="^workers must be an integer >= 1, got "):
+                run_sweep(self._tiny_cfg(trials_per_point=1), workers=workers)
+        # a float, bool or str integer input, or a non-number SNR input,
+        # fails when the config is built, not by truncation or in a trial
         for kw in _NON_INTEGER_INPUTS:
             (name,) = kw
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                SimConfig(detectors=("sd-conv",), **kw)
+        for kw in _NON_NUMBER_INPUTS:
+            (name,) = kw
+            with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
                 SimConfig(detectors=("sd-conv",), **kw)
         with pytest.raises(ValueError, match="'sd-new'"):
             SimConfig(detectors="sd-new")
 
     def test_numpy_integers_accepted(self):
-        cfg = self._tiny_cfg(n_antennas=np.int64(2), trials_per_point=np.int32(3),
-                             seed=np.uint64(9))
+        cfg = self._tiny_cfg(n_antennas=np.int64(2), mod_order=np.int16(16),
+                             trials_per_point=np.int32(3), seed=np.uint64(9))
         assert cfg == self._tiny_cfg(trials_per_point=3)
-        assert all(type(v) is int for v in (cfg.n_antennas, cfg.trials_per_point, cfg.seed))
+        assert all(type(v) is int for v in (cfg.n_antennas, cfg.mod_order,
+                                            cfg.trials_per_point, cfg.seed))
         assert run_sweep(cfg) == run_sweep(self._tiny_cfg(trials_per_point=3))
+
+    def test_the_environment_does_not_set_workers(self, monkeypatch):
+        monkeypatch.setenv("LATTICE_SD_THREADS", "abc")
+        cfg = self._tiny_cfg(trials_per_point=2)
+        assert [r.trials for r in run_sweep(cfg)] == [2] * 4
+
+    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch):
+        # an in-process pool stands in, so no process is started
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        cfg = self._tiny_cfg(detectors=("sd-conv",), snr_stop_db=0.0,
+                             trials_per_point=128)
+        expected = run_sweep(cfg, workers=1)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        assert run_sweep(cfg, workers=64) == expected
+        assert sizes == [min(64, os.cpu_count() or 1)]
 
 
 # Non-integer values of integer inputs.  Unchecked, 2.5 trials would run 2,
 # and an n of 2.5 or True or a seed of 1.5 would fail inside the first trial.
 _NON_INTEGER_INPUTS = ({"trials_per_point": 2.5}, {"n_antennas": 2.5}, {"seed": 1.5},
-                       {"n_antennas": True}, {"trials_per_point": "3"}, {"seed": True})
+                       {"n_antennas": True}, {"trials_per_point": "3"}, {"seed": True},
+                       {"mod_order": 16.0})
+
+# Non-numbers and bools as SNR inputs.  Unchecked, a str or None failed in
+# math.isfinite, a Decimal inside the grid loop, and True ran a 1 dB grid.
+_NON_NUMBER_INPUTS = ({"snr_start_db": "0"}, {"snr_stop_db": None},
+                      {"snr_step_db": Decimal("1")}, {"snr_step_db": True})
 
 
 def _message(fn, *args, **kwargs):
@@ -303,8 +346,9 @@ class TestConfigRules:
     def test_rules_hold_under_optimize(self):
         # the checks are raises, not asserts, so -O keeps them
         cases = ({"radius_dimension": "3n"}, {"n_antennas": 3, "detectors": ("sd-new",)},
-                 *_NON_INTEGER_INPUTS, {"detectors": "sd-new"})
-        code = ("from spheredec.sim import SimConfig\n"
+                 *_NON_INTEGER_INPUTS, *_NON_NUMBER_INPUTS, {"detectors": "sd-new"})
+        code = ("from decimal import Decimal\n"
+                "from spheredec.sim import SimConfig\n"
                 f"for kw in {cases!r}:\n"
                 "    try:\n"
                 "        SimConfig(**kw)\n"
