@@ -7,19 +7,18 @@ return the minimizer together with deterministic operation tallies on the
 
 Counting conventions: the tallies are the operation counts of each
 algorithm as specified, where one FLOP is one real addition/subtraction,
-multiplication or division of the detection phase.  Comparisons (radius
-tests, the rail quantizer, best-leaf updates) are tallied separately and
-excluded from ``flops``.  :func:`sd_proposed` counts one add and one
-comparison per middle-layer rail pair and one quantization per low rail of
-every surviving prefix; its counts depend only on how many prefixes
-survive into each layer, while its code skips the pairs and prefixes that
-provably cannot change the result.  :func:`sd_conventional` charges all mu
-candidates of every expanded node, each with its interference sum
-recomputed in full, while its search evaluates only the rails inside the
-node's widened Fincke-Pohst interval.  QR preprocessing is not
-counted here; it is reported in the separate ``preproc_flops`` field of the
-lattice problem, so the two cost brackets can be merged or kept split
-downstream.  Each detection call keeps its own tallies, so identical
+multiplication or division of the detection phase; radius tests, the rail
+quantizer's rounding and best-leaf updates are not counted.
+:func:`sd_proposed` counts one add per middle-layer rail pair and one
+quantization per low rail of every surviving prefix; its counts depend only
+on how many prefixes survive into each layer, while its code skips the
+pairs and prefixes that provably cannot change the result.
+:func:`sd_conventional` charges all mu candidates of every expanded node,
+each with its interference sum recomputed in full, while its search
+evaluates only the rails inside the node's widened Fincke-Pohst interval.
+QR preprocessing is not counted here: its cost is the closed form
+:func:`~spheredec.lattice.preprocessing_flops`, the same for every trial of
+a configuration.  Each detection call keeps its own tallies, so identical
 (seed, config) pairs reproduce identical counts on any platform.
 
 Search conventions shared by the tree detectors:
@@ -75,8 +74,8 @@ class DetectionResult:
     ``x_hat`` holds 2N rail levels in the problem representation's symbol
     order; ``weight`` is the canonical ||y_hat - R x_hat||^2; ``restarts``
     counts radius-growth reruns (the final unconstrained fallback pass
-    included).  ``adds``, ``mults``, ``divs`` and ``comparisons`` are the
-    operation tallies of the module's counting convention.
+    included).  ``adds``, ``mults`` and ``divs`` are the operation tallies
+    of the module's counting convention.
     """
 
     x_hat: np.ndarray
@@ -86,11 +85,10 @@ class DetectionResult:
     adds: int
     mults: int
     divs: int
-    comparisons: int
 
     @property
     def flops(self):
-        """Counted FLOPs: adds + mults + divs (comparisons excluded)."""
+        """Counted FLOPs: adds + mults + divs."""
         return self.adds + self.mults + self.divs
 
 
@@ -134,15 +132,14 @@ def _check_weight(accumulated, canonical):
         )
 
 
-def _result(p, leaf, *, restarts, nodes, adds, mults, divs, comparisons):
+def _result(p, leaf, *, restarts, nodes, adds, mults, divs):
     """The :class:`DetectionResult` of a search's leaf ``(weight, x)``: its
     accumulated weight and its 2N rail levels in symbol index order."""
     w_acc, x = leaf
     x_hat = np.array(x, dtype=int)
     weight = recompute_weight(p, x_hat)
     _check_weight(w_acc, weight)
-    return DetectionResult(x_hat, weight, nodes, restarts, adds, mults, divs,
-                           comparisons)
+    return DetectionResult(x_hat, weight, nodes, restarts, adds, mults, divs)
 
 
 def ml_candidate_count(n, c):
@@ -182,7 +179,7 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
 
     ops = total * (m * (m + 1) // 2 + m)  # sum of (terms + 1) over all rows
     return _result(p, (best_w, best_x), restarts=0, nodes=total, adds=ops,
-                   mults=ops, divs=0, comparisons=total)
+                   mults=ops, divs=0)
 
 
 @functools.lru_cache(maxsize=2)
@@ -284,8 +281,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     visited = sum(nodes_at)
     add_total = sum(cnt * (m - j + 1) for j, cnt in enumerate(nodes_at))
     return _result(p, leaf, restarts=restarts, nodes=visited, adds=add_total,
-                   mults=add_total, divs=0,
-                   comparisons=visited)  # one radius test per node
+                   mults=add_total, divs=0)
 
 
 def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
@@ -340,15 +336,15 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     low_syms = range(n - 1 - len(caps), 0, -1)
     # Per-prefix tallies of the quantization step: two rails per low symbol,
     # each with t = m - 2*sym assigned columns (t mults and t-1 adds of
-    # interference, 1 add to center, 1 div and 1 comparison to quantize,
-    # 2 mults and 2 adds of metric), plus one leaf comparison per prefix.
+    # interference, 1 add to center, 1 div to quantize, 2 mults and 2 adds
+    # of metric).
     quantized = 2 * len(low_syms)
     leaf_ops = sum(2 * (m - 2 * sym + 2) for sym in low_syms)
 
-    adds = mults = divs = cmps = nodes = 0
+    adds = mults = divs = nodes = 0
 
     def search(d2):
-        nonlocal adds, mults, divs, cmps, nodes
+        nonlocal adds, mults, divs, nodes
         # Step 1: the two top levels are independent (r[m-2, m-1] == 0).
         top = []
         for j in (m - 1, m - 2):
@@ -364,7 +360,6 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         nodes += 2 * mu
         mults += 4 * mu
         adds += 2 * mu
-        cmps += 2 * mu
 
         survivors = []
         for t1, w1 in top[0]:
@@ -372,9 +367,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
                 w = t1 + t2
                 if w < d2:
                     survivors.append((w, (w1, w2)))
-        pairs = len(top[0]) * len(top[1])
-        adds += pairs
-        cmps += pairs
+        adds += len(top[0]) * len(top[1])
         if not survivors:
             return None
         survivors.sort()
@@ -394,7 +387,6 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
             adds += s * (2 * (terms - 1) + 2 + 3 * mu + mu * mu)
             mults += s * (2 * terms + 4 * mu)
             nodes += s * 2 * mu
-            cmps += s * mu * mu
             r_im = rows[j_im][j_im]
             r_re = rows[j_re][j_re]
             # Keep pairs with w <= bound: below the radius while fewer than
@@ -446,7 +438,6 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         mults += s * leaf_ops
         divs += s * quantized
         nodes += s * quantized
-        cmps += s * (quantized + 1)
         leaves = []
         best_w = d2
         for w, prefix in survivors:
@@ -480,7 +471,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
 
     restarts, leaf = policy.first_leaf(search)
     return _result(p, leaf, restarts=restarts, nodes=nodes, adds=adds,
-                   mults=mults, divs=divs, comparisons=cmps)
+                   mults=mults, divs=divs)
 
 
 def _interference(row, prefix, j_top, m):

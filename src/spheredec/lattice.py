@@ -130,16 +130,16 @@ class LatticeProblem:
 
     ``r`` is 2N x 2N upper triangular with positive diagonal and ``y_hat``
     the rotated receive vector.  For the interleaved representation
-    r[k, k+1] == 0.0 exactly for even 0-based k.  ``preproc_flops`` records
-    the QR + rotation cost.  The search radius is not part of the problem:
-    each tree detector takes its :class:`RadiusPolicy`.
+    r[k, k+1] == 0.0 exactly for even 0-based k.  The QR + rotation cost is
+    :func:`preprocessing_flops` of 2N, the same for every problem of a
+    size.  The search radius is not part of the problem: each tree
+    detector takes its :class:`RadiusPolicy`.
     """
 
     r: np.ndarray
     y_hat: np.ndarray
     representation: Representation
     n: int
-    preproc_flops: int = 0
 
 
 def real_form(h, representation):
@@ -306,10 +306,5 @@ def build_problem(h, y, representation):
         y_real = y_real[symbol_order(n, representation)]
     factors = gram_schmidt_qr(h_real, pair_zeros=pair_zeros)
     y_hat = factors.q.T @ y_real
-    return LatticeProblem(
-        r=factors.r,
-        y_hat=y_hat,
-        representation=representation,
-        n=n,
-        preproc_flops=preprocessing_flops(2 * n),
-    )
+    return LatticeProblem(r=factors.r, y_hat=y_hat,
+                          representation=representation, n=n)

@@ -22,7 +22,6 @@ import math
 import numbers
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +40,7 @@ from .lattice import (
     RadiusPolicy,
     Representation,
     build_problem,
+    preprocessing_flops,
     to_pair_order,
 )
 from .modem import (
@@ -99,12 +99,19 @@ class SimConfig:
             object.__setattr__(self, name, int(value))  # a numpy integer too
         if self.seed >= 2**128:  # the Philox key is 128-bit
             raise ValueError("seed must be below 2**128")
+        if self.trials_per_point >= 2**53:  # run_sweep splits trials in floats
+            raise ValueError("trials_per_point must be below 2**53")
         for name in ("snr_start_db", "snr_stop_db", "snr_step_db"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
             if not math.isfinite(value):
                 raise ValueError("SNR start, stop and step must be finite")
+            object.__setattr__(self, name, value)
         if self.snr_step_db <= 0:
             raise ValueError("snr_step_db must be positive")
         n_points = len(self.snr_points())
@@ -158,7 +165,6 @@ class Tally(NamedTuple):
     bit_errors: int = 0
     symbol_errors: int = 0
     flops: int = 0
-    preproc_flops: int = 0
     nodes: int = 0
 
     def __add__(self, other):
@@ -304,7 +310,6 @@ def run_trial(rng, cfg, point):
             bit_errors=int(np.count_nonzero(bits_hat != inst.bits)),
             symbol_errors=int(np.count_nonzero(wrong_rails.any(axis=1))),
             flops=result.flops,
-            preproc_flops=problem.preproc_flops,
             nodes=result.nodes_visited,
         ))
     return tuple(tallies)
@@ -350,6 +355,9 @@ def run_sweep(cfg, workers=1):
     if blocks == 1:
         parts = map(_trial_block, *zip(*jobs))
     else:
+        # imported here, so a sweep that starts no pool skips its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         processes = min(workers, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_trial_block, *zip(*jobs)))
@@ -369,7 +377,7 @@ def run_sweep(cfg, workers=1):
                 ber=cell.bit_errors / (cell.trials * bits_per_trial),
                 ser=cell.symbol_errors / (cell.trials * cfg.n_antennas),
                 mean_flops=cell.flops / cell.trials,
-                mean_preproc_flops=cell.preproc_flops / cell.trials,
+                mean_preproc_flops=float(preprocessing_flops(2 * cfg.n_antennas)),
                 mean_nodes=cell.nodes / cell.trials,
                 trials=cell.trials,
                 bit_errors=cell.bit_errors,

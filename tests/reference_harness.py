@@ -25,7 +25,6 @@ from spheredec.lattice import (
     LatticeProblem,
     QrFactors,
     Representation,
-    preprocessing_flops,
     symbol_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, symbols_to_bits
@@ -148,7 +147,6 @@ def build_problem(h, y, representation):
         y_hat=y_hat,
         representation=representation,
         n=n,
-        preproc_flops=preprocessing_flops(2 * n),
     )
 
 
@@ -194,7 +192,6 @@ def run_trial(rng, cfg, snr_db):
             symbol_errors=int(np.sum((x_hat_pair[0::2] != true_pair[0::2])
                                      | (x_hat_pair[1::2] != true_pair[1::2]))),
             flops=result.flops,
-            preproc_flops=problem.preproc_flops,
             nodes=result.nodes_visited,
         ))
     return tuple(tallies)

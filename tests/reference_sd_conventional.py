@@ -83,5 +83,4 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
         adds=add_total,
         mults=add_total,
         divs=0,
-        comparisons=visited,  # one radius test per node
     )

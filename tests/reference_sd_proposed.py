@@ -177,7 +177,6 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         adds=adds,
         mults=mults,
         divs=divs,
-        comparisons=cmps,
     )
 
 

@@ -48,7 +48,10 @@ def sample_records():
 
 # CLI arguments whose only check is SimConfig's, and the config they make.
 _LIBRARY_RULES = {("--detector", "zf"): {"detectors": ("zf",)},
-                  ("--radius-dim", "3n"): {"radius_dimension": "3n"}}
+                  ("--radius-dim", "3n"): {"radius_dimension": "3n"},
+                  ("--trials", "9300000000000000000"):
+                      {"trials_per_point": 9300000000000000000},
+                  ("--trials", str(10**20)): {"trials_per_point": 10**20}}
 
 
 class TestParseArgs:
@@ -114,6 +117,8 @@ class TestParseArgs:
         (["--detector", "zf"], {}),
         (["--radius-dim", "3n"], {}),
         ([], {"LATTICE_SD_THREADS": "2.5"}),
+        (["--trials", "9300000000000000000"], {}),
+        (["--trials", str(10**20)], {}),
     ])
     def test_bad_input_fails_fast(self, args, env):
         # a child interpreter under -O, so a hang cannot stall the suite and

@@ -108,7 +108,6 @@ class TestMlExhaustive:
         p = build_problem(h, y, Representation.STACKED)
         res = ml_exhaustive(p, c)
         assert res.nodes_visited == 4 ** 4 == 256
-        assert res.comparisons == 256
         assert res.flops == res.adds + res.mults + res.divs > 0
 
     def test_capacity_guard(self):
@@ -204,7 +203,6 @@ class TestSdConventional:
         assert res.weight == 1.328125
         assert res.nodes_visited == 16
         assert (res.adds, res.mults, res.divs) == (44, 44, 0)
-        assert res.comparisons == 16
         assert res.flops == 88
         assert res.restarts == 0
 
@@ -226,7 +224,6 @@ class TestSdConventional:
         assert res.restarts == 0
         assert res.nodes_visited == 12
         assert (res.adds, res.mults, res.divs) == (32, 32, 0)
-        assert res.comparisons == 12
 
 
 class TestSdProposed:
@@ -301,9 +298,8 @@ class TestSdProposed:
         # Interleaved N=1, R = I2, y_hat = [0.125, 0.25], huge radius.
         # Step 1 evaluates 2*mu = 8 one-dimensional metrics (2 mults +
         # 1 add each), all survive, all 16 pairs are summed (1 add each)
-        # and kept, and with no low symbols left each pair is a leaf
-        # (1 comparison each).  Totals: adds 8+16, mults 16, nodes 8,
-        # comparisons 8 + 16 + 16.
+        # and kept, and with no low symbols left each pair is a leaf.
+        # Totals: adds 8+16, mults 16, nodes 8.
         p = LatticeProblem(r=np.eye(2), y_hat=np.array([0.125, 0.25]),
                            representation=Representation.INTERLEAVED, n=1)
         c = make_constellation(16)
@@ -312,26 +308,24 @@ class TestSdProposed:
         assert res.weight == 1.328125
         assert res.nodes_visited == 8
         assert (res.adds, res.mults, res.divs) == (24, 16, 0)
-        assert res.comparisons == 40
         assert res.flops == 40
 
     def test_counter_regression_middle_layer(self):
         # Interleaved N=3, R = I6, one middle layer capped at 2, huge radius,
         # mu = 4.  Everything survives the radius, so the counts follow from
         # the survivor count entering each step.
-        # Top levels: 8 metrics (2 mults + 1 add + 1 comparison each), then
-        # 16 pair sums (1 add + 1 comparison each) -> S = 16 survivors.
+        # Top levels: 8 metrics (2 mults + 1 add each), then 16 pair sums
+        # (1 add each) -> S = 16 survivors.
         # Middle layer (symbol 2, rows 3 and 2, t = 2 assigned columns):
         # per survivor two interference sums (t-1 = 1 add, t = 2 mults
         # each), 2 centering adds, 2*mu = 8 metrics (4*mu = 16 mults,
-        # 3*mu = 12 adds) and mu^2 = 16 pair sums (16 adds + 16
-        # comparisons): 32 adds, 20 mults, 8 nodes, 16 comparisons; x16.
+        # 3*mu = 12 adds) and mu^2 = 16 pair sums (16 adds): 32 adds,
+        # 20 mults, 8 nodes; x16.
         # Leaf step (symbol 1, rows 1 and 0, 4 assigned columns): per
         # surviving prefix and rail 4 mults + 3 adds of interference,
-        # 1 centering add, 1 div and 1 comparison (quantizer), 2 mults +
-        # 2 adds of metric, 1 node; plus 1 leaf comparison per prefix; x2.
-        # Totals: adds 8+16+512+24 = 560, mults 16+320+24 = 360, divs 4,
-        # nodes 8+128+4 = 140, comparisons 8+16+256+6 = 286.
+        # 1 centering add, 1 div (quantizer), 2 mults + 2 adds of metric,
+        # 1 node; x2.  Totals: adds 8+16+512+24 = 560, mults 16+320+24 =
+        # 360, divs 4, nodes 8+128+4 = 140.
         p = LatticeProblem(r=np.eye(6),
                            y_hat=np.array([0.125, -0.25, 2.5, -2.25, 0.75, -1.5]),
                            representation=Representation.INTERLEAVED, n=3)
@@ -341,7 +335,6 @@ class TestSdProposed:
         assert res.weight == 2.453125
         assert res.nodes_visited == 140
         assert (res.adds, res.mults, res.divs) == (560, 360, 4)
-        assert res.comparisons == 286
         assert res.restarts == 0
 
     def test_leaf_tie_goes_to_first_in_detection_order(self):
@@ -461,14 +454,6 @@ class TestRecomputeWeight:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "disagrees with canonical" in proc.stderr
-
-
-def test_flops_excludes_comparisons():
-    res = DetectionResult(
-        x_hat=np.zeros(4), weight=0.0, nodes_visited=5, restarts=0,
-        adds=2, mults=3, divs=1, comparisons=10,
-    )
-    assert res.flops == 6
 
 
 @pytest.mark.parametrize("initial_sq, restarts", [(1.0, 0), (1e-9, 21)])

@@ -81,8 +81,7 @@ def test_qr_and_build_bitwise(n, mod, detectors, snrs):
             p_ref = ref.build_problem(inst.h, inst.y, rep)
             assert_same_bits(p.r, p_ref.r)
             assert_same_bits(p.y_hat, p_ref.y_hat)
-            assert (p.representation, p.n, p.preproc_flops) == \
-                (p_ref.representation, p_ref.n, p_ref.preproc_flops)
+            assert (p.representation, p.n) == (p_ref.representation, p_ref.n)
 
 
 @pytest.mark.parametrize("n, mod, detectors, snrs", CASES, ids=IDS)

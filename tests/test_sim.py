@@ -1,17 +1,25 @@
 """Tests for the Monte Carlo harness: channels, SNR, trials, sweeps."""
 
+import concurrent.futures
+import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from spheredec import sim
+from spheredec.cli import render_csv, render_json
 from spheredec.detectors import ml_exhaustive, sd_proposed
-from spheredec.lattice import RadiusPolicy, Representation, build_problem
+from spheredec.lattice import (
+    RadiusPolicy,
+    Representation,
+    build_problem,
+    preprocessing_flops,
+)
 from spheredec.modem import make_constellation, rails_to_complex
 from spheredec.sim import (
     ChannelInstance,
@@ -100,7 +108,6 @@ class TestRunTrial:
             a, b = run_trial(trial_rng(2, 0, t), cfg, _point(cfg, 10.0))
             # ml and sd-conv decide alike, so they make the same errors
             assert (a.bit_errors, a.symbol_errors) == (b.bit_errors, b.symbol_errors)
-            assert a.preproc_flops == b.preproc_flops
             # the same stream shows the same trial whatever else runs
             (solo,) = run_trial(trial_rng(2, 0, t), solo_cfg, _point(solo_cfg, 10.0))
             assert solo == b
@@ -110,7 +117,7 @@ class TestRunTrial:
                         trials_per_point=1)
         (rec,) = run_trial(trial_rng(3, 0, 0), cfg, _point(cfg, 5.0))
         assert rec.trials == 1
-        assert rec.flops > 0 and rec.nodes > 0 and rec.preproc_flops > 0
+        assert rec.flops > 0 and rec.nodes > 0
 
     def test_instance_consistency(self):
         rng = np.random.default_rng(93)
@@ -158,7 +165,7 @@ class TestRunSweep:
                     ber=cell.bit_errors / (cell.trials * bits_per_trial),
                     ser=cell.symbol_errors / (cell.trials * cfg.n_antennas),
                     mean_flops=cell.flops / cell.trials,
-                    mean_preproc_flops=cell.preproc_flops / cell.trials,
+                    mean_preproc_flops=float(preprocessing_flops(2 * cfg.n_antennas)),
                     mean_nodes=cell.nodes / cell.trials,
                     trials=cell.trials, bit_errors=cell.bit_errors, seed=cfg.seed))
         assert [c.trials for c in expected] == [6] * 4
@@ -212,9 +219,11 @@ class TestRunSweep:
             SimConfig(trials_per_point=0)
         with pytest.raises(ValueError, match="once"):
             SimConfig(detectors=("sd-conv", "sd-conv"))
+        # an int or Fraction too large for a float is not finite either
         for snr in ({"snr_stop_db": float("inf")}, {"snr_start_db": float("nan")},
-                    {"snr_step_db": float("nan")}):
-            with pytest.raises(ValueError, match="finite"):
+                    {"snr_step_db": float("nan")}, {"snr_start_db": 10**400},
+                    {"snr_stop_db": Fraction(10**400)}, {"snr_step_db": -10**400}):
+            with pytest.raises(ValueError, match="^SNR start, stop and step must be finite$"):
                 SimConfig(**snr)
         with pytest.raises(ValueError, match="precede"):
             SimConfig(snr_start_db=10.0, snr_stop_db=0.0)
@@ -230,6 +239,11 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=seed)
         SimConfig(seed=2**128 - 1)
+        # run_sweep's float split of the trials into blocks is exact below 2**53
+        for trials in (2**53, 9300000000000000000, 10**20):
+            with pytest.raises(ValueError, match=r"^trials_per_point must be below 2\*\*53$"):
+                SimConfig(trials_per_point=trials)
+        SimConfig(trials_per_point=2**53 - 1)
         with pytest.raises(ValueError, match="guard"):
             SimConfig(n_antennas=6, mod_order=64, detectors=("ml",))
         # sd-new needs a K-best caps entry above N=2; the sweep would
@@ -269,6 +283,16 @@ class TestRunSweep:
                                             cfg.trials_per_point, cfg.seed))
         assert run_sweep(cfg) == run_sweep(self._tiny_cfg(trials_per_point=3))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_preproc_flops_is_the_closed_form(self, n, workers):
+        cfg = self._tiny_cfg(n_antennas=n, snr_start_db=30.0, snr_stop_db=30.0,
+                             trials_per_point=4)
+        recs = run_sweep(cfg, workers=workers)
+        assert len(recs) == 2
+        for r in recs:
+            assert r.mean_preproc_flops == float(preprocessing_flops(2 * n))
+
     def test_the_environment_does_not_set_workers(self, monkeypatch):
         monkeypatch.setenv("LATTICE_SD_THREADS", "abc")
         cfg = self._tiny_cfg(trials_per_point=2)
@@ -293,7 +317,7 @@ class TestRunSweep:
         cfg = self._tiny_cfg(detectors=("sd-conv",), snr_stop_db=0.0,
                              trials_per_point=128)
         expected = run_sweep(cfg, workers=1)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         assert run_sweep(cfg, workers=64) == expected
         assert sizes == [min(64, os.cpu_count() or 1)]
 
@@ -342,6 +366,23 @@ class TestConfigRules:
             SimConfig(snr_start_db=-3000.0, snr_stop_db=-3000.0, **kw)
         cfg = SimConfig(snr_start_db=-2900.0, snr_stop_db=-2900.0, **kw)
         assert [r.trials for r in run_sweep(cfg, workers=1)] == [20] * 3
+
+    @pytest.mark.parametrize("value", [0, Fraction(1, 3), np.float32(1), np.int64(2)])
+    def test_snr_inputs_are_stored_as_floats(self, value):
+        cfg = SimConfig(detectors=("sd-conv",), snr_start_db=value, snr_stop_db=4,
+                        snr_step_db=Fraction(2))
+        for name in ("snr_start_db", "snr_stop_db", "snr_step_db"):
+            assert type(getattr(cfg, name)) is float
+        assert all(type(s) is float for s in cfg.snr_points())
+        assert cfg.snr_points()[:2] == (round(float(value), 9),
+                                        round(float(value) + 2.0, 9))
+
+    def test_fractional_snr_renders(self):
+        cfg = SimConfig(detectors=("sd-new",), snr_start_db=Fraction(1, 3),
+                        snr_stop_db=Fraction(1, 3), trials_per_point=1)
+        recs = run_sweep(cfg)
+        assert render_csv(recs).splitlines()[1].startswith("0.333333333,sd-new,")
+        assert json.loads(render_json(recs))[0]["snr_db"] == 0.333333333
 
     def test_rules_hold_under_optimize(self):
         # the checks are raises, not asserts, so -O keeps them
