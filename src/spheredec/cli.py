@@ -85,7 +85,7 @@ def parse_args(argv):
         cfg = SimConfig(
             n_antennas=ns.n,
             mod_order=_MOD_FLAGS[ns.mod],
-            detectors=tuple(ns.detectors) if ns.detectors else DETECTOR_NAMES,
+            detectors=ns.detectors or DETECTOR_NAMES,
             snr_start_db=start,
             snr_stop_db=stop,
             snr_step_db=step,

@@ -48,10 +48,10 @@ import numpy as np
 from .lattice import LatticeProblem, RadiusPolicy, Representation
 from .modem import Constellation, quantize_rail
 
-# Exhaustive enumeration refuses search spaces larger than this.
-ML_CANDIDATE_GUARD = 10**8
-
-_ML_CHUNK = 1 << 16
+# Exhaustive enumeration refuses search spaces larger than this: 4^8, the
+# 4x4 16-QAM space, so one call is a single vectorized pass of a few ms and
+# the cached candidate lists stay small.
+ML_CANDIDATE_GUARD = 4**8
 
 # Relative agreement required between a search's accumulated weight and the
 # canonical recomputation of the same leaf.
@@ -163,33 +163,25 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
     """
     m = 2 * p.n
     total = ml_candidate_count(p.n, c)
-    rt = p.r.T.copy()
-    y_hat = p.y_hat
-
-    best_w = math.inf
-    best_x = None
-    for lo in range(0, total, _ML_CHUNK):
-        x_chunk = _ml_candidates(c.rail, m, lo, min(lo + _ML_CHUNK, total))
-        res = y_hat[None, :] - x_chunk @ rt
-        w = np.einsum("ij,ij->i", res, res)
-        k = int(np.argmin(w))
-        if w[k] < best_w:
-            best_w = float(w[k])
-            best_x = x_chunk[k].copy()
+    x = _ml_candidates(c.rail, m)
+    res = p.y_hat[None, :] - x @ p.r.T.copy()
+    w = np.einsum("ij,ij->i", res, res)
+    k = int(np.argmin(w))
 
     ops = total * (m * (m + 1) // 2 + m)  # sum of (terms + 1) over all rows
-    return _result(p, (best_w, best_x), restarts=0, nodes=total, adds=ops,
+    return _result(p, (float(w[k]), x[k]), restarts=0, nodes=total, adds=ops,
                    mults=ops, divs=0)
 
 
-@functools.lru_cache(maxsize=2)
-def _ml_candidates(rail, m, lo, hi):
-    """Rows lo..hi-1 of the exhaustive candidate list, read-only: candidate
-    i holds the rail levels of the base-mu digits of i, the most
-    significant digit at the top level 2N (column m-1)."""
-    digits = np.unravel_index(np.arange(lo, hi), (len(rail),) * m)
+@functools.cache  # the guard admits at most 6 lists, all under 5 MB together
+def _ml_candidates(rail, m):
+    """The exhaustive candidate list, read-only: candidate i holds the rail
+    levels of the base-mu digits of i, the most significant digit at the
+    top level 2N (column m-1)."""
+    total = len(rail) ** m
+    digits = np.unravel_index(np.arange(total), (len(rail),) * m)
     levels = np.asarray(rail, dtype=float)
-    x = np.empty((hi - lo, m))
+    x = np.empty((total, m))
     for j in range(m):
         x[:, j] = levels[digits[m - 1 - j]]
     x.flags.writeable = False

@@ -114,14 +114,18 @@ class SimConfig:
             object.__setattr__(self, name, value)
         if self.snr_step_db <= 0:
             raise ValueError("snr_step_db must be positive")
-        n_points = len(self.snr_points())
-        if n_points == 0:
+        points = self.snr_points()
+        if not points:
             raise ValueError("snr_stop_db must not precede snr_start_db")
-        if n_points > MAX_SNR_POINTS:
+        if len(points) > MAX_SNR_POINTS:
             raise ValueError(f"the SNR grid has more than {MAX_SNR_POINTS} points")
-        if isinstance(self.detectors, str) or not self.detectors:
+        if any(a >= b for a, b in zip(points, points[1:])):
+            raise ValueError("the SNR grid repeats a point once rounded to 1e-9 dB")
+        # a list or tuple only: a set would order the records by string hash
+        if not isinstance(self.detectors, (list, tuple)) or not self.detectors:
             raise ValueError(f"detectors must be a non-empty sequence of names, "
                              f"got {self.detectors!r}")
+        object.__setattr__(self, "detectors", tuple(self.detectors))
         for name in self.detectors:
             if name not in DETECTOR_NAMES:
                 raise ValueError(f"unknown detector {name!r}; choose from "
@@ -129,7 +133,7 @@ class SimConfig:
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("each detector may be listed only once")
         c = make_constellation(self.mod_order)  # rejects unsupported orders
-        for snr_db in self.snr_points():
+        for snr_db in points:
             _point(self, snr_db)  # rejects a bad noise variance or radius_dimension
         if "ml" in self.detectors:
             ml_candidate_count(self.n_antennas, c)

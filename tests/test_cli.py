@@ -51,7 +51,10 @@ _LIBRARY_RULES = {("--detector", "zf"): {"detectors": ("zf",)},
                   ("--radius-dim", "3n"): {"radius_dimension": "3n"},
                   ("--trials", "9300000000000000000"):
                       {"trials_per_point": 9300000000000000000},
-                  ("--trials", str(10**20)): {"trials_per_point": 10**20}}
+                  ("--trials", str(10**20)): {"trials_per_point": 10**20},
+                  ("--n", "4", "--mod", "64qam"): {"n_antennas": 4, "mod_order": 64},
+                  ("--snr", "0:1e-10:0"): {"snr_start_db": 0.0, "snr_step_db": 1e-10,
+                                           "snr_stop_db": 0.0}}
 
 
 class TestParseArgs:
@@ -69,7 +72,8 @@ class TestParseArgs:
         assert args.format == "csv"
 
     def test_n_and_mod(self):
-        cfg = parse_args(["--n", "4", "--mod", "64qam"]).config
+        cfg = parse_args(["--n", "4", "--mod", "64qam",
+                          "--detector", "sd-conv", "--detector", "sd-new"]).config
         assert cfg.n_antennas == 4
         assert cfg.mod_order == 64
 
@@ -82,10 +86,13 @@ class TestParseArgs:
             parse_args(["--detector", "ml", "--n", "6", "--mod", "64qam"])
         assert exc.value.code == 2
 
-    def test_ml_guard_accepts_16qam_6x6(self):
-        cfg = parse_args(["--detector", "ml", "--n", "6", "--mod", "16qam"]).config
+    def test_ml_guard_accepts_16qam_4x4_rejects_6x6(self):
+        cfg = parse_args(["--detector", "ml", "--n", "4", "--mod", "16qam"]).config
         assert cfg.detectors == ("ml",)
-        assert cfg.n_antennas == 6
+        assert cfg.n_antennas == 4
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--detector", "ml", "--n", "6", "--mod", "16qam"])
+        assert exc.value.code == 2
 
     def test_unknown_detector_rejected(self):
         with pytest.raises(SystemExit):
@@ -119,6 +126,8 @@ class TestParseArgs:
         ([], {"LATTICE_SD_THREADS": "2.5"}),
         (["--trials", "9300000000000000000"], {}),
         (["--trials", str(10**20)], {}),
+        (["--n", "4", "--mod", "64qam"], {}),
+        (["--snr", "0:1e-10:0"], {}),
     ])
     def test_bad_input_fails_fast(self, args, env):
         # a child interpreter under -O, so a hang cannot stall the suite and
@@ -219,6 +228,33 @@ class TestMain:
         assert main(self.ARGS) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith(EXPECTED_HEADER)
+
+    def test_verbose_reports_on_stderr_only(self, capsys):
+        assert main(self.ARGS) == 0
+        quiet = capsys.readouterr()
+        assert main(self.ARGS + ["-v"]) == 0
+        verbose = capsys.readouterr()
+        assert verbose.out == quiet.out
+        assert quiet.err == ""
+        assert verbose.err.splitlines() == [
+            "sweep: 2x2 16-QAM, 2 SNR points x 5 trials, detectors sd-conv, sd-new",
+            "wrote 4 records to -",
+        ]
+
+    def test_failed_write_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # the path passes the probe, then the write itself fails
+        out = tmp_path / "x.csv"
+
+        def disk_full(records, fmt, out_path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "emit_results", disk_full)
+        assert main(self.ARGS + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"spheredec: cannot write {str(out)!r}: [Errno 28] No space left on device"]
+        assert not out.exists()
 
     def test_threads_leave_the_output_unchanged(self):
         # a child interpreter, so the environment variable is read as the

@@ -201,6 +201,14 @@ class TestBuildProblem:
                     (reorder_received(y, rep) - real_form(h, rep) @ x) ** 2))
                 assert abs(rotated - direct) <= 1e-6 * (1.0 + direct)
 
+    def test_length_mismatch_rejected(self):
+        h, s, _ = self._instance(2)
+        for y in (np.append(h @ s, 0.0), (h @ s)[:1]):
+            for rep in Representation:
+                with pytest.raises(ValueError, match="^received vector length does not "
+                                                     "match the channel$"):
+                    build_problem(h, y, rep)
+
     def test_degenerate_channel_propagates(self):
         h = np.ones((2, 2), dtype=complex)
         with pytest.raises(DegenerateChannelError):

@@ -73,6 +73,12 @@ class TestGramSchmidtQr:
         with pytest.raises(ValueError, match="square"):
             gram_schmidt_qr(np.ones((3, 4)))
 
+    def test_odd_size_rejected_when_paired(self):
+        h = np.eye(3)
+        with pytest.raises(ValueError, match="^pair-structured matrices must have even size$"):
+            gram_schmidt_qr(h, pair_zeros=True)
+        assert np.array_equal(gram_schmidt_qr(h).r, h)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("pair_zeros", [False, True])
     def test_non_finite_rejected(self, bad, pair_zeros):

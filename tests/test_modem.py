@@ -133,3 +133,8 @@ class TestRailComplexConversions:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
             rails_to_complex(np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("s", [np.ones((2, 2), dtype=complex), 1 + 2j])
+    def test_non_vector_symbols_rejected(self, s):
+        with pytest.raises(ValueError, match="^expected a symbol vector, got shape "):
+            complex_to_rails(s)

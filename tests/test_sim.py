@@ -12,9 +12,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spheredec import sim
 from spheredec.cli import render_csv, render_json
 from spheredec.detectors import ml_exhaustive, sd_proposed
 from spheredec.lattice import (
+    DegenerateChannelError,
     RadiusPolicy,
     Representation,
     build_problem,
@@ -118,6 +120,44 @@ class TestRunTrial:
         (rec,) = run_trial(trial_rng(3, 0, 0), cfg, _point(cfg, 5.0))
         assert rec.trials == 1
         assert rec.flops > 0 and rec.nodes > 0
+
+    def test_degenerate_draw_is_redrawn_from_the_same_stream(self, monkeypatch):
+        cfg = SimConfig(n_antennas=2, mod_order=16, detectors=("ml", "sd-conv", "sd-new"),
+                        trials_per_point=1)
+        point = _point(cfg, 10.0)
+        # the next draw of a stream that has already made one
+        rng = trial_rng(4, 0, 0)
+        draw_instance(rng, cfg, point.sigma_sq)
+        expected = run_trial(rng, cfg, point)
+
+        calls = []
+
+        def degenerate_once(h, y, rep):
+            calls.append(rep)
+            if len(calls) == 1:
+                raise DegenerateChannelError("rank deficient")
+            return build_problem(h, y, rep)
+
+        monkeypatch.setattr(sim, "build_problem", degenerate_once)
+        assert run_trial(trial_rng(4, 0, 0), cfg, point) == expected
+        assert calls == [point.reps[0], *point.reps]
+
+    def test_redraws_are_capped(self, monkeypatch):
+        cfg = SimConfig(n_antennas=2, detectors=("sd-conv",), trials_per_point=1)
+        draws = []
+
+        def counted_draw(*args):
+            draws.append(1)
+            return draw_instance(*args)
+
+        def always_degenerate(h, y, rep):
+            raise DegenerateChannelError("rank deficient")
+
+        monkeypatch.setattr(sim, "draw_instance", counted_draw)
+        monkeypatch.setattr(sim, "build_problem", always_degenerate)
+        with pytest.raises(RuntimeError, match="^exceeded the degenerate-channel redraw cap$"):
+            run_trial(trial_rng(4, 0, 0), cfg, _point(cfg, 10.0))
+        assert len(draws) == 100
 
     def test_instance_consistency(self):
         rng = np.random.default_rng(93)
@@ -231,6 +271,15 @@ class TestRunSweep:
             SimConfig(snr_start_db=0.0, snr_stop_db=20.0, snr_step_db=0.01)
         with pytest.raises(ValueError, match="points"):
             SimConfig(snr_start_db=1e20, snr_stop_db=1e20, snr_step_db=1.0)
+        # points are rounded to 1e-9 dB; a repeat would label two rows alike
+        for start, step, stop in ((0.0, 1e-10, 0.0), (0.0, 4e-10, 1e-9),
+                                  (5.0, 6e-10, 5.000000002)):
+            with pytest.raises(ValueError, match="^the SNR grid repeats a point once "
+                                                 r"rounded to 1e-9 dB$"):
+                SimConfig(snr_start_db=start, snr_step_db=step, snr_stop_db=stop)
+            points = SimConfig(snr_start_db=start, snr_step_db=2e-9,
+                               snr_stop_db=start + 4e-9).snr_points()
+            assert len(points) == 3 and points == tuple(sorted(set(points)))
         # 10**400 overflows and 10**-400 underflows to zero
         for snr in (4000.0, -4000.0):
             with pytest.raises(ValueError, match="noise variance"):
@@ -244,15 +293,18 @@ class TestRunSweep:
             with pytest.raises(ValueError, match=r"^trials_per_point must be below 2\*\*53$"):
                 SimConfig(trials_per_point=trials)
         SimConfig(trials_per_point=2**53 - 1)
-        with pytest.raises(ValueError, match="guard"):
-            SimConfig(n_antennas=6, mod_order=64, detectors=("ml",))
+        # the ML oracle scans at most 4^8 candidates: 4x4 16-QAM
+        for n, order in ((6, 64), (3, 64), (4, 64), (5, 16), (6, 16)):
+            with pytest.raises(ValueError, match="above the 65536 guard"):
+                SimConfig(n_antennas=n, mod_order=order, detectors=("ml",))
+        for n, order in ((4, 16), (3, 16), (2, 64)):
+            SimConfig(n_antennas=n, mod_order=order, detectors=("ml",))
         # sd-new needs a K-best caps entry above N=2; the sweep would
         # otherwise fail inside its first trial
         for n in (3, 5):
             with pytest.raises(ValueError, match=f"no K-best caps defined for N={n}"):
                 SimConfig(n_antennas=n, detectors=("sd-new",))
             SimConfig(n_antennas=n, detectors=("sd-conv",))
-        SimConfig(n_antennas=6, mod_order=16, detectors=("ml",))
         with pytest.raises(ValueError, match="QAM order"):
             SimConfig(mod_order=32, detectors=("sd-new",))
         with pytest.raises(ValueError, match="n_antennas"):
@@ -274,6 +326,12 @@ class TestRunSweep:
                 SimConfig(detectors=("sd-conv",), **kw)
         with pytest.raises(ValueError, match="'sd-new'"):
             SimConfig(detectors="sd-new")
+        # a list or tuple only: a set would order the records by PYTHONHASHSEED
+        for detectors in ({"sd-new", "sd-conv"}, {"sd-new": 1}, (d for d in ["sd-new"]),
+                          iter(["sd-new"])):
+            with pytest.raises(ValueError, match="^detectors must be a non-empty "
+                                                 "sequence of names, got "):
+                SimConfig(detectors=detectors)
 
     def test_numpy_integers_accepted(self):
         cfg = self._tiny_cfg(n_antennas=np.int64(2), mod_order=np.int16(16),
@@ -349,6 +407,9 @@ class TestConfigRules:
         ml_problem = build_problem(np.eye(6), np.zeros(6), Representation.STACKED)
         assert (_message(SimConfig, n_antennas=6, mod_order=64, detectors=("ml",))
                 == _message(ml_exhaustive, ml_problem, c64))
+        ml_problem = build_problem(np.eye(3), np.zeros(3), Representation.STACKED)
+        assert (_message(SimConfig, n_antennas=3, mod_order=64, detectors=("ml",))
+                == _message(ml_exhaustive, ml_problem, c64))
         kbest_problem = build_problem(np.eye(3), np.zeros(3), Representation.INTERLEAVED)
         assert (_message(SimConfig, n_antennas=3, detectors=("sd-new",))
                 == _message(sd_proposed, kbest_problem, c16,
@@ -357,6 +418,14 @@ class TestConfigRules:
                 == _message(sigma_for_snr, 4000.0, c16, 2))
         assert (_message(SimConfig, radius_dimension="3n")
                 == _message(RadiusPolicy.for_noise, 1.0, 2, dimension="3n"))
+
+    def test_detectors_are_stored_as_a_tuple(self):
+        cfg = SimConfig(detectors=["sd-new", "sd-conv"], trials_per_point=1)
+        assert cfg.detectors == ("sd-new", "sd-conv")
+        assert cfg == SimConfig(detectors=("sd-new", "sd-conv"), trials_per_point=1)
+        hash(cfg)
+        with pytest.raises(AttributeError):
+            cfg.detectors.append("zf")
 
     @pytest.mark.filterwarnings("error")
     def test_noise_variance_stays_inside_the_received_vector_bound(self):
@@ -387,7 +456,8 @@ class TestConfigRules:
     def test_rules_hold_under_optimize(self):
         # the checks are raises, not asserts, so -O keeps them
         cases = ({"radius_dimension": "3n"}, {"n_antennas": 3, "detectors": ("sd-new",)},
-                 *_NON_INTEGER_INPUTS, *_NON_NUMBER_INPUTS, {"detectors": "sd-new"})
+                 *_NON_INTEGER_INPUTS, *_NON_NUMBER_INPUTS, {"detectors": "sd-new"},
+                 {"detectors": {"sd-new"}}, {"snr_step_db": 1e-10, "snr_stop_db": 0.0})
         code = ("from decimal import Decimal\n"
                 "from spheredec.sim import SimConfig\n"
                 f"for kw in {cases!r}:\n"
