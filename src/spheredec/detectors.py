@@ -442,10 +442,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
                     row = rows[j]
                     # the structural zero r[j_re, j_im] keeps both sums
                     # starting at the same column
-                    e = row[j_im + 1] * values[m - 2 - j_im]
-                    for k in range(j_im + 2, m):
-                        e += row[k] * values[m - 1 - k]
-                    cv = yh[j] - e
+                    cv = yh[j] - _interference(row, values, j_im, m)
                     rjj = row[j]
                     x_q = quantize_rail(cv / rjj, c)
                     d = cv - rjj * x_q

@@ -2,18 +2,18 @@
 their QR reduction.
 
 Two equivalent 2N-dimensional real formulations of y = H s + v are
-supported:
+supported.  They differ only in where the real (Re) and imaginary (Im)
+rails of each symbol and receive sample sit among the 2N rows and
+columns, and :func:`_rails` is the one place that says so:
 
-* ``INTERLEAVED`` -- each transmit symbol contributes an adjacent (Re, Im)
-  column pair and each receive sample an adjacent (Re, Im) row pair.
-  Adjacent columns of a pair are exactly orthogonal with equal norm, which
-  puts exact zeros at r[k, k+1] (even 0-based k) after Gram-Schmidt QR; the
+* ``INTERLEAVED`` -- the rails alternate, Re at even and Im at odd 0-based
+  indices, so each symbol owns an adjacent (Re, Im) column pair.  Adjacent
+  columns of a pair are exactly orthogonal with equal norm, which puts
+  exact zeros at r[k, k+1] (even 0-based k) after Gram-Schmidt QR; the
   reduced-complexity detector relies on those zeros to decode each symbol's
   real and imaginary rails independently.
-* ``STACKED``   -- the block form [[Re H, -Im H], [Im H, Re H]] with the
-  real parts of all symbols stacked above all imaginary parts.  It is the
-  interleaved form with rows and columns permuted by :func:`symbol_order`,
-  and its receive vector the pair-ordered one permuted the same way.
+* ``STACKED``   -- the Re rails fill the first half and the Im rails the
+  second, giving the block form [[Re H, -Im H], [Im H, Re H]].
 
 The QR factorization is written out as the classical (project-onto-the-
 original-column) Gram-Schmidt procedure instead of calling LAPACK: the
@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .modem import complex_to_rails
 
 # Columns whose residual norm falls at or below this are treated as a rank
 # deficiency; continuous channel draws make this a measure-zero event.
@@ -142,27 +140,35 @@ class LatticeProblem:
     n: int
 
 
+def _rails(n, representation):
+    """The ``(re, im)`` slices locating the real and imaginary rails among
+    the 2N rows or columns of the representation."""
+    if representation is Representation.INTERLEAVED:
+        return slice(0, None, 2), slice(1, None, 2)
+    if representation is Representation.STACKED:
+        return slice(None, n), slice(n, None)
+    raise ValueError(f"unknown representation {representation!r}")
+
+
 def real_form(h, representation):
     """Complex N x N channel -> 2N x 2N real form in the representation's
     symbol order.
 
-    The interleaved entry pattern per complex coefficient H[m, n] (0-based)
-    is out[2m, 2n] = Re, out[2m, 2n+1] = -Im, out[2m+1, 2n] = Im,
-    out[2m+1, 2n+1] = Re; the stacked form is that matrix with rows and
-    columns permuted by :func:`symbol_order`.
+    With ``(re, im)`` the rail positions from :func:`_rails`, the blocks
+    are out[re, re] = Re H, out[re, im] = -Im H, out[im, re] = Im H and
+    out[im, im] = Re H.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square channel matrix, got {h.shape}")
     n = h.shape[0]
+    re, im = _rails(n, representation)
     out = np.empty((2 * n, 2 * n))
-    out[0::2, 0::2] = h.real
-    out[0::2, 1::2] = -h.imag
-    out[1::2, 0::2] = h.imag
-    out[1::2, 1::2] = h.real
-    if representation is Representation.INTERLEAVED:
-        return out
-    return out[_stacked_grid(n)]
+    out[re, re] = h.real
+    out[re, im] = -h.imag
+    out[im, re] = h.imag
+    out[im, im] = h.real
+    return out
 
 
 @functools.cache
@@ -171,23 +177,18 @@ def symbol_order(n, representation):
     representation's symbol order: x_rep = x_pair[symbol_order(n, rep)].
 
     Built once per (n, representation) and returned read-only."""
-    if representation is Representation.INTERLEAVED:
-        order = np.arange(2 * n)
-    else:
-        order = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    re, im = _rails(n, representation)
+    order = np.empty(2 * n, dtype=int)
+    order[re] = np.arange(0, 2 * n, 2)
+    order[im] = np.arange(1, 2 * n, 2)
     order.flags.writeable = False
     return order
 
 
-@functools.cache
-def _stacked_grid(n):
-    """``np.ix_`` grid permuting a 2N x 2N interleaved matrix into the
-    stacked symbol order, built once per n."""
-    order = symbol_order(n, Representation.STACKED)
-    return np.ix_(order, order)
-
-
 def to_pair_order(x_rep, representation):
+    """Rail vector in the representation's symbol order -> pair order
+    [Re s_1, Im s_1, ..., Re s_N, Im s_N]; the inverse of indexing by
+    :func:`symbol_order`."""
     x_rep = np.asarray(x_rep)
     n = len(x_rep) // 2
     out = np.empty_like(x_rep)
@@ -286,24 +287,27 @@ def preprocessing_flops(m):
 def build_problem(h, y, representation):
     """Assemble the QR-reduced problem for one channel use.
 
-    Takes the :func:`real_form` of the channel and permutes the pair-ordered
-    receive vector into the same symbol order (the interleaved form needs
-    no permutation), then applies Gram-Schmidt QR (with structural zero
-    forcing for the interleaved form) and the q^T rotation of the receive
-    vector.  Propagates :class:`DegenerateChannelError` for rank-deficient
-    draws so the caller can redraw the channel, and raises ``ValueError``
-    for a channel or received vector that is not finite or not below ``MAX_ENTRY``.
+    Takes the :func:`real_form` of the channel and places the complex
+    receive vector's real and imaginary parts on the same rails, then
+    applies Gram-Schmidt QR (with structural zero forcing for the
+    interleaved form) and the q^T rotation of the receive vector.
+    Propagates :class:`DegenerateChannelError` for rank-deficient draws so
+    the caller can redraw the channel, and raises ``ValueError`` for a
+    received vector that is not a length-N vector, or a channel or
+    received vector that is not finite or not below ``MAX_ENTRY``.
     """
     h_real = real_form(h, representation)
     n = len(h_real) // 2
-    if len(np.asarray(y)) != n:
+    y = np.asarray(y, dtype=complex)
+    if y.shape != (n,):
         raise ValueError("received vector length does not match the channel")
-    y_real = complex_to_rails(y)
+    re, im = _rails(n, representation)
+    y_real = np.empty(2 * n)
+    y_real[re] = y.real
+    y_real[im] = y.imag
     if not all(map(MAX_ENTRY.__gt__, map(abs, y_real.tolist()))):  # also NaN
         raise ValueError(f"received vector is not finite or not below {MAX_ENTRY:g}")
     pair_zeros = representation is Representation.INTERLEAVED
-    if not pair_zeros:
-        y_real = y_real[symbol_order(n, representation)]
     factors = gram_schmidt_qr(h_real, pair_zeros=pair_zeros)
     y_hat = factors.q.T @ y_real
     return LatticeProblem(r=factors.r, y_hat=y_hat,

@@ -81,18 +81,20 @@ def bits_to_symbols(bits, c, n_antennas):
     Gray codeword and mapped to its rail level, filling
     [Re s_1, Im s_1, ..., Re s_N, Im s_N] in order.
     """
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits)
     expected = 2 * n_antennas * c.bits_per_rail
     if bits.ndim != 1 or len(bits) != expected:
         raise ValueError(f"expected {expected} bits, got {bits.shape}")
+    if np.count_nonzero((bits == 0) | (bits == 1)) != len(bits):
+        raise ValueError("bits must each be 0 or 1")
     weights = 1 << np.arange(c.bits_per_rail - 1, -1, -1)
-    return c.level_of_codeword[bits.reshape(-1, c.bits_per_rail) @ weights]
+    return c.level_of_codeword[bits.astype(int).reshape(-1, c.bits_per_rail) @ weights]
 
 
 def symbols_to_bits(symbols, c):
     """Exact inverse of :func:`bits_to_symbols`."""
     out = []
-    for level in np.asarray(symbols, dtype=int).tolist():
+    for level in np.asarray(symbols).tolist():
         try:
             out.extend(c.bits_of_level[level])
         except KeyError:
@@ -133,10 +135,3 @@ def rails_to_complex(x):
         raise ValueError(f"expected an even-length rail vector, got {x.shape}")
     return x.view(complex)
 
-
-def complex_to_rails(s):
-    """Complex symbol vector -> pair-ordered rail vector of length 2N."""
-    s = np.array(s, dtype=complex)  # a contiguous copy, viewed as rails
-    if s.ndim != 1:
-        raise ValueError(f"expected a symbol vector, got shape {s.shape}")
-    return s.view(float)

@@ -143,8 +143,8 @@ class SimConfig:
     def snr_points(self):
         pts = []
         s = self.snr_start_db
-        while s <= self.snr_stop_db + 1e-9 and len(pts) <= MAX_SNR_POINTS:
-            pts.append(round(s, 9))
+        while (point := round(s, 9)) <= self.snr_stop_db and len(pts) <= MAX_SNR_POINTS:
+            pts.append(point)
             s += self.snr_step_db
         return tuple(pts)
 

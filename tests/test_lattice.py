@@ -11,6 +11,7 @@ from spheredec.lattice import (
     Representation,
     build_problem,
     real_form,
+    symbol_order,
     to_pair_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
@@ -203,11 +204,23 @@ class TestBuildProblem:
 
     def test_length_mismatch_rejected(self):
         h, s, _ = self._instance(2)
-        for y in (np.append(h @ s, 0.0), (h @ s)[:1]):
+        y = h @ s
+        for y in (np.append(y, 0.0), y[:1], y.reshape(1, 2), y.reshape(2, 1),
+                  np.ones((2, 2), dtype=complex), 1 + 2j):
             for rep in Representation:
                 with pytest.raises(ValueError, match="^received vector length does not "
                                                      "match the channel$"):
                     build_problem(h, y, rep)
+
+    @pytest.mark.parametrize("rep", ["stacked", "interleaved", None])
+    def test_unknown_representation_rejected(self, rep):
+        # the enum's values name it but are not it: nothing falls back to a layout
+        h, s, x_pair = self._instance(2)
+        message = f"^unknown representation {rep!r}$"
+        for call in (lambda: real_form(h, rep), lambda: build_problem(h, h @ s, rep),
+                     lambda: symbol_order(2, rep), lambda: to_pair_order(x_pair, rep)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
     def test_degenerate_channel_propagates(self):
         h = np.ones((2, 2), dtype=complex)

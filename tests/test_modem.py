@@ -5,7 +5,6 @@ import pytest
 
 from spheredec.modem import (
     bits_to_symbols,
-    complex_to_rails,
     make_constellation,
     quantize_rail,
     rails_to_complex,
@@ -81,6 +80,21 @@ class TestGrayMapping:
         c = make_constellation(16)
         with pytest.raises(ValueError, match="rail"):
             symbols_to_bits(np.array([2]), c)
+        # a fractional level is not truncated onto the rail
+        with pytest.raises(ValueError, match="^1.5 is not a rail level of 16-QAM$"):
+            symbols_to_bits([1.5, 1], c)
+        assert list(symbols_to_bits([3.0, -1.0], c)) == [1, 0, 0, 1]
+
+    @pytest.mark.parametrize("bits", [[0, 2, 0, 3], [0.9, 0, 0, 1], [0, -1, 1, 1],
+                                      [float("nan"), 0, 0, 1], ["0", "1", "0", "1"]])
+    def test_non_binary_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="^bits must each be 0 or 1$"):
+            bits_to_symbols(bits, make_constellation(16), 1)
+
+    def test_float_and_bool_bits_accepted(self):
+        c = make_constellation(16)
+        for bits in ([1.0, 0.0, 0.0, 1.0], [True, False, False, True]):
+            assert list(bits_to_symbols(bits, c, 1)) == [3, -1]
 
 
 class TestQuantizeRail:
@@ -121,11 +135,6 @@ class TestQuantizeRail:
 
 
 class TestRailComplexConversions:
-    def test_round_trip(self):
-        rng = np.random.default_rng(34)
-        x = rng.integers(-7, 8, size=12).astype(float)
-        assert np.allclose(complex_to_rails(rails_to_complex(x)), x)
-
     def test_pair_order(self):
         s = rails_to_complex(np.array([1, 2, 3, 4]))
         assert np.array_equal(s, np.array([1 + 2j, 3 + 4j]))
@@ -133,8 +142,3 @@ class TestRailComplexConversions:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError, match="even"):
             rails_to_complex(np.array([1.0, 2.0, 3.0]))
-
-    @pytest.mark.parametrize("s", [np.ones((2, 2), dtype=complex), 1 + 2j])
-    def test_non_vector_symbols_rejected(self, s):
-        with pytest.raises(ValueError, match="^expected a symbol vector, got shape "):
-            complex_to_rails(s)

@@ -446,6 +446,19 @@ class TestConfigRules:
         assert cfg.snr_points()[:2] == (round(float(value), 9),
                                         round(float(value) + 2.0, 9))
 
+    @pytest.mark.parametrize("start, step, stop, points", [
+        (0.0, 2e-9, 1e-9, (0.0,)),
+        (0.0, 1e-9, 3e-9, (0.0, 1e-9, 2e-9, 3e-9)),
+        (0.0, 0.1, 0.3, (0.0, 0.1, 0.2, 0.3)),
+        (0.0, 0.1, 1.0, tuple(i / 10 for i in range(11))),
+        (22.0, 2.0, 28.0, (22.0, 24.0, 26.0, 28.0)),
+    ])
+    def test_snr_grid_ends_at_or_below_its_stop(self, start, step, stop, points):
+        # a point counts once rounded to 1e-9 dB, so the grid never passes its stop
+        cfg = SimConfig(detectors=("sd-new",), snr_start_db=start, snr_step_db=step,
+                        snr_stop_db=stop)
+        assert cfg.snr_points() == points
+
     def test_fractional_snr_renders(self):
         cfg = SimConfig(detectors=("sd-new",), snr_start_db=Fraction(1, 3),
                         snr_stop_db=Fraction(1, 3), trials_per_point=1)
