@@ -306,16 +306,17 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     :func:`ml_exhaustive`'s on every input.  Empty survivor sets trigger the
     radius policy's restarts, ending in an unconstrained pass.
 
-    ``caps`` lists one survivor cap per middle symbol layer, top layer
-    first, for 1 to N - 2 layers; it defaults to :func:`kbest_caps`.
+    ``caps`` lists one integer survivor cap per middle symbol layer, top
+    layer first, for 1 to N - 2 layers; it defaults to :func:`kbest_caps`.
     """
     if p.representation is not Representation.INTERLEAVED:
         raise ValueError("sd_proposed requires the interleaved representation")
     n = p.n
     layers = max(n - 2, 0)  # middle symbol layers
     caps = kbest_caps(n, c) if caps is None else caps
-    if any(cap < 1 for cap in caps):
-        raise ValueError(f"K-best caps {tuple(caps)} must all be >= 1")
+    if not all(isinstance(cap, (int, np.integer)) and not isinstance(cap, bool)
+               and cap >= 1 for cap in caps):
+        raise ValueError(f"K-best caps {tuple(caps)} must all be integers >= 1")
     if len(caps) > layers or layers and not caps:
         raise ValueError(f"N={n} has {layers} middle symbol layers, "
                          f"got {len(caps)} K-best caps")

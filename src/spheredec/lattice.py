@@ -28,7 +28,6 @@ tree-search code: level l corresponds to row/column l-1 of R.
 """
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -171,28 +170,18 @@ def real_form(h, representation):
     return out
 
 
-@functools.cache
-def symbol_order(n, representation):
-    """Index permutation taking a pair-ordered rail vector into the
-    representation's symbol order: x_rep = x_pair[symbol_order(n, rep)].
-
-    Built once per (n, representation) and returned read-only."""
-    re, im = _rails(n, representation)
-    order = np.empty(2 * n, dtype=int)
-    order[re] = np.arange(0, 2 * n, 2)
-    order[im] = np.arange(1, 2 * n, 2)
-    order.flags.writeable = False
-    return order
-
-
 def to_pair_order(x_rep, representation):
     """Rail vector in the representation's symbol order -> pair order
-    [Re s_1, Im s_1, ..., Re s_N, Im s_N]; the inverse of indexing by
-    :func:`symbol_order`."""
+    [Re s_1, Im s_1, ..., Re s_N, Im s_N], reading each symbol's rails
+    from where :func:`_rails` places them."""
     x_rep = np.asarray(x_rep)
-    n = len(x_rep) // 2
+    if x_rep.ndim != 1 or len(x_rep) % 2:
+        raise ValueError(
+            f"expected an even-length rail vector, got shape {x_rep.shape}")
+    re, im = _rails(len(x_rep) // 2, representation)
     out = np.empty_like(x_rep)
-    out[symbol_order(n, representation)] = x_rep
+    out[0::2] = x_rep[re]
+    out[1::2] = x_rep[im]
     return out
 
 
@@ -207,19 +196,24 @@ def gram_schmidt_qr(h, pair_zeros=False):
     Parameters
     ----------
     h : (m, m) array of floats with linearly independent columns.
-    pair_zeros : when True the input is declared pair-structured (columns
-        2j and 2j+1 orthogonal with equal norm, 0-based).  The entries
-        r[k, k+1] for even k are then asserted to be below ``PAIR_ZERO_TOL``
-        and forced to exact 0.0, with the pre-forcing maximum reported in
-        ``QrFactors.zero_structure_max``.
+    pair_zeros : when True the input is declared pair-structured: its
+        columns are the interleaved rail pairs of :func:`_rails`, the Re
+        column 2j and the Im column 2j+1 (0-based) orthogonal with equal
+        norm.  The entries r[k, k+1] for even k are then checked to be
+        below ``PAIR_ZERO_TOL`` and forced to exact 0.0, with the
+        pre-forcing maximum reported in ``QrFactors.zero_structure_max``.
 
     Raises
     ------
     DegenerateChannelError : a column residual norm fell below ``RANK_TOL``.
-    ValueError : non-square input, input that is not finite or has an entry
-        of magnitude ``MAX_ENTRY`` or more, or the declared pair structure
-        does not hold numerically.
+    ValueError : complex or non-square input, input that is not finite or
+        has an entry of magnitude ``MAX_ENTRY`` or more, or the declared
+        pair structure does not hold numerically.
     """
+    h = np.asarray(h)
+    if np.iscomplexobj(h):
+        raise ValueError("expected a real matrix, got a complex one; "
+                         "take its real_form first")
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
@@ -251,24 +245,15 @@ def gram_schmidt_qr(h, pair_zeros=False):
 
     zmax = None
     if pair_zeros:
-        pairs = _pair_entries(m)
-        zmax = max(map(abs, r[pairs].tolist()))
+        re, im = _rails(m // 2, Representation.INTERLEAVED)
+        pairs = r[re, im]  # a view: r[k, k+1] for even k on its diagonal
+        zmax = max(map(abs, pairs.diagonal().tolist()))
         if not zmax < PAIR_ZERO_TOL:
             raise ValueError(
                 f"pair zero structure violated: max |r[k,k+1]| = {zmax:.3e}"
             )
-        r[pairs] = 0.0
+        np.fill_diagonal(pairs, 0.0)
     return QrFactors(q=q, r=r, zero_structure_max=zmax)
-
-
-@functools.cache
-def _pair_entries(m):
-    """Index arrays of the entries r[k, k+1], even 0-based k, of an m x m R."""
-    rows = np.arange(0, m, 2)
-    rows.flags.writeable = False
-    cols = rows + 1
-    cols.flags.writeable = False
-    return rows, cols
 
 
 def preprocessing_flops(m):

@@ -93,8 +93,11 @@ def bits_to_symbols(bits, c, n_antennas):
 
 def symbols_to_bits(symbols, c):
     """Exact inverse of :func:`bits_to_symbols`."""
+    symbols = np.asarray(symbols)
+    if symbols.ndim != 1:
+        raise ValueError(f"expected a vector of rail levels, got shape {symbols.shape}")
     out = []
-    for level in np.asarray(symbols).tolist():
+    for level in symbols.tolist():
         try:
             out.extend(c.bits_of_level[level])
         except KeyError:
@@ -132,6 +135,6 @@ def rails_to_complex(x):
     """Pair-ordered rail vector -> complex symbol vector of length N."""
     x = np.array(x, dtype=float)  # a contiguous copy, viewed as complex
     if x.ndim != 1 or len(x) % 2:
-        raise ValueError(f"expected an even-length rail vector, got {x.shape}")
+        raise ValueError(f"expected an even-length rail vector, got shape {x.shape}")
     return x.view(complex)
 

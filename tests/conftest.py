@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spheredec
-from spheredec.lattice import Representation, symbol_order
+from spheredec.lattice import Representation
 from spheredec.sim import SimConfig, run_sweep
 
 WORKERS = max(1, min(4, os.cpu_count() or 1))
@@ -38,9 +38,12 @@ def binomial_ci(errors, total, z=1.96):
 
 
 def to_representation_order(x_pair, representation):
-    """Pair-ordered rail vector -> the representation's symbol order."""
+    """Pair-ordered rail vector -> the representation's symbol order,
+    written out per representation as an oracle for ``to_pair_order``."""
     x_pair = np.asarray(x_pair)
-    return x_pair[symbol_order(len(x_pair) // 2, representation)]
+    if representation is Representation.STACKED:
+        return np.concatenate([x_pair[0::2], x_pair[1::2]])
+    return x_pair.copy()
 
 
 def reorder_received(y, representation):

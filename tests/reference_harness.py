@@ -5,8 +5,10 @@ Holds copies of functions as they were then, several of which the package
 has since merged or renamed: ``trial_rng``, ``draw_channel`` and
 ``draw_instance`` of ``spheredec.sim`` (the channel draw is now part of
 ``draw_instance``, which takes all its Gaussians in one call);
-``interleave``, ``to_pair_order`` and ``build_problem`` of
-``spheredec.lattice`` (``interleave`` is now ``real_form``);
+``interleave``, ``symbol_order``, ``to_pair_order`` and ``build_problem``
+of ``spheredec.lattice`` (``interleave`` is now ``real_form``, and
+``symbol_order`` is gone: the package reads each layout from
+``spheredec.lattice._rails``);
 ``rails_to_complex`` and ``complex_to_rails`` of ``spheredec.modem``;
 ``gram_schmidt_qr`` of the former ``spheredec.linalg``, now in
 ``spheredec.lattice``; and the scoring loop of ``spheredec.sim.run_trial``.
@@ -14,6 +16,8 @@ has since merged or renamed: ``trial_rng``, ``draw_channel`` and
 array-equal draws, R, y_hat and ``zero_structure_max``, and equal
 per-detector tallies.
 """
+
+import functools
 
 import numpy as np
 
@@ -25,7 +29,6 @@ from spheredec.lattice import (
     LatticeProblem,
     QrFactors,
     Representation,
-    symbol_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, symbols_to_bits
 from spheredec.sim import (
@@ -112,6 +115,20 @@ def gram_schmidt_qr(h, pair_zeros=False):
         for k in range(0, m, 2):
             r[k, k + 1] = 0.0
     return QrFactors(q=q, r=r, zero_structure_max=zmax)
+
+
+@functools.cache
+def symbol_order(n, representation):
+    """Index permutation taking a pair-ordered rail vector into the
+    representation's symbol order: x_rep = x_pair[symbol_order(n, rep)].
+
+    Built once per (n, representation) and returned read-only."""
+    if representation is Representation.INTERLEAVED:
+        order = np.arange(2 * n)
+    else:
+        order = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    order.flags.writeable = False
+    return order
 
 
 def interleave(h):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import subprocess
 import sys
 
@@ -406,8 +407,10 @@ class TestKBestSchedule:
 
     def test_invalid_caps_rejected(self):
         p, c, pol = self._problem(4), make_constellation(16), RadiusPolicy.for_noise(1.0, 4)
-        with pytest.raises(ValueError, match=">= 1"):
-            sd_proposed(p, c, pol, caps=(8, 0))
+        for caps in ((8, 0), (8.5, 8), ("8", 8), (True, 8)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"K-best caps {caps} must all be integers >= 1")):
+                sd_proposed(p, c, pol, caps=caps)
         with pytest.raises(ValueError, match="2 middle symbol layers, got 3"):
             sd_proposed(p, c, pol, caps=(8, 8, 8))
         with pytest.raises(ValueError, match="2 middle symbol layers, got 0"):
@@ -454,6 +457,50 @@ class TestRecomputeWeight:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "disagrees with canonical" in proc.stderr
+
+
+# Raises of the layout, QR and K-best input checks, each run under python -O
+# by test_input_checks_hold_under_optimize.
+_CHECK_SETUP = (
+    "import numpy as np\n"
+    "from spheredec.detectors import sd_proposed\n"
+    "from spheredec.lattice import (RadiusPolicy, Representation, build_problem,\n"
+    "                               gram_schmidt_qr, to_pair_order)\n"
+    "from spheredec.modem import make_constellation\n"
+    "c = make_constellation(16)\n"
+    "policy = RadiusPolicy.for_noise(1.0, 4)\n"
+    "problem = build_problem(np.eye(4, dtype=complex), np.ones(4, dtype=complex),\n"
+    "                        Representation.INTERLEAVED)\n"
+)
+_CHECKED_CALLS = (
+    "gram_schmidt_qr(np.array([[1.0, 1.0], [0.0, 1.0]]), pair_zeros=True)",
+    "gram_schmidt_qr(np.array([[1 + 5j, 0], [0, 1]]))",
+    "to_pair_order(np.zeros((2, 2)), Representation.STACKED)",
+    "to_pair_order(np.arange(3), Representation.INTERLEAVED)",
+    "sd_proposed(problem, c, policy, caps=(8.5, 8))",
+    "sd_proposed(problem, c, policy, caps=(True, 8))",
+)
+
+
+def test_input_checks_hold_under_optimize():
+    # the checks are raises, not asserts, so -O keeps them
+    code = (_CHECK_SETUP
+            + f"for call in {_CHECKED_CALLS!r}:\n"
+              "    try:\n"
+              "        eval(call)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    namespace = {}
+    exec(_CHECK_SETUP, namespace)
+    expected = []
+    for call in _CHECKED_CALLS:
+        with pytest.raises(ValueError) as exc:
+            eval(call, namespace)
+        expected.append(str(exc.value))
+    assert proc.stdout.splitlines() == expected
 
 
 @pytest.mark.parametrize("initial_sq, restarts", [(1.0, 0), (1e-9, 21)])

@@ -9,7 +9,7 @@ import pytest
 
 import reference_harness as ref
 from spheredec import lattice, sim
-from spheredec.lattice import Representation, real_form, symbol_order
+from spheredec.lattice import Representation, real_form
 from spheredec.modem import make_constellation
 from spheredec.sim import SimConfig, sigma_for_snr, trial_rng
 
@@ -65,7 +65,7 @@ def test_qr_and_build_bitwise(n, mod, detectors, snrs):
     for t in range(DRAWS):
         inst = ref.draw_instance(ref.trial_rng(8, 0, t), cfg, sigma_sq)
         for rep in Representation:
-            order = symbol_order(n, rep)
+            order = ref.symbol_order(n, rep)
             h_real = ref.interleave(inst.h)[np.ix_(order, order)]
             assert_same_bits(real_form(inst.h, rep), h_real)
             pair = rep is Representation.INTERLEAVED

@@ -1,5 +1,7 @@
 """Tests for the stacked/interleaved lattice forms and problem assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from spheredec.lattice import (
     Representation,
     build_problem,
     real_form,
-    symbol_order,
     to_pair_order,
 )
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
@@ -112,6 +113,15 @@ class TestSymbolOrdering:
         x = np.array([10, 11, 20, 21])  # Re1, Im1, Re2, Im2
         assert np.array_equal(to_representation_order(x, Representation.STACKED),
                               np.array([10, 20, 11, 21]))
+        assert np.array_equal(to_pair_order([10, 20, 11, 21], Representation.STACKED), x)
+
+    @pytest.mark.parametrize("rep", list(Representation))
+    def test_non_vector_rejected(self, rep):
+        for x in (np.arange(4).reshape(2, 2), np.arange(3), 7):
+            shape = np.shape(x)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected an even-length rail vector, got shape {shape}")):
+                to_pair_order(x, rep)
 
 
 class TestRadiusPolicy:
@@ -212,13 +222,14 @@ class TestBuildProblem:
                                                      "match the channel$"):
                     build_problem(h, y, rep)
 
-    @pytest.mark.parametrize("rep", ["stacked", "interleaved", None])
+    @pytest.mark.parametrize("rep", ["stacked", "interleaved", None, ["x"]])
     def test_unknown_representation_rejected(self, rep):
-        # the enum's values name it but are not it: nothing falls back to a layout
+        # the enum's values name it but are not it: nothing falls back to a
+        # layout, and an unhashable value reaches the same one-line check
         h, s, x_pair = self._instance(2)
-        message = f"^unknown representation {rep!r}$"
+        message = f"^{re.escape(f'unknown representation {rep!r}')}$"
         for call in (lambda: real_form(h, rep), lambda: build_problem(h, h @ s, rep),
-                     lambda: symbol_order(2, rep), lambda: to_pair_order(x_pair, rep)):
+                     lambda: to_pair_order(x_pair, rep)):
             with pytest.raises(ValueError, match=message):
                 call()
 

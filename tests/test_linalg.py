@@ -73,6 +73,14 @@ class TestGramSchmidtQr:
         with pytest.raises(ValueError, match="square"):
             gram_schmidt_qr(np.ones((3, 4)))
 
+    @pytest.mark.parametrize("pair_zeros", [False, True])
+    def test_complex_rejected(self, pair_zeros):
+        # the imaginary part is not dropped: the real form holds it
+        for h in (np.array([[1 + 5j, 0], [0, 1]]), np.eye(2, dtype=complex)):
+            with pytest.raises(ValueError, match="^expected a real matrix, got a complex "
+                                                 "one; take its real_form first$"):
+                gram_schmidt_qr(h, pair_zeros=pair_zeros)
+
     def test_odd_size_rejected_when_paired(self):
         h = np.eye(3)
         with pytest.raises(ValueError, match="^pair-structured matrices must have even size$"):

@@ -1,5 +1,7 @@
 """Tests for constellations, Gray mapping, and the rail quantizer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,13 @@ class TestGrayMapping:
         with pytest.raises(ValueError, match="^1.5 is not a rail level of 16-QAM$"):
             symbols_to_bits([1.5, 1], c)
         assert list(symbols_to_bits([3.0, -1.0], c)) == [1, 0, 0, 1]
+
+    def test_non_vector_levels_rejected(self):
+        c = make_constellation(16)
+        for symbols, shape in (([[1, -1], [3, -3]], (2, 2)), (3, ())):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected a vector of rail levels, got shape {shape}")):
+                symbols_to_bits(symbols, c)
 
     @pytest.mark.parametrize("bits", [[0, 2, 0, 3], [0.9, 0, 0, 1], [0, -1, 1, 1],
                                       [float("nan"), 0, 0, 1], ["0", "1", "0", "1"]])
