@@ -55,7 +55,8 @@ def parse_args(argv):
                         help="detector to run; repeatable (default: all of "
                              f"{', '.join(DETECTOR_NAMES)})")
     parser.add_argument("--snr", default="0:2:20", metavar="START:STEP:STOP",
-                        help="SNR grid in dB (default 0:2:20)")
+                        help="SNR grid in dB (default 0:2:20); give a negative "
+                             "start with '=', as in --snr=-4:2:0")
     parser.add_argument("--trials", type=int, default=20000,
                         help="Monte Carlo trials per SNR point (default 20000)")
     parser.add_argument("--seed", type=int, default=42,

@@ -2,14 +2,14 @@
 reduced-complexity decoder for the interleaved lattice representation.
 
 All detectors minimize ||y_hat - R x||^2 over rail-valued vectors x and
-return the minimizer together with deterministic operation tallies on the
-:class:`DetectionResult`.
+return the minimizer together with two deterministic tallies on the
+:class:`DetectionResult`: nodes visited and counted FLOPs.
 
-Counting conventions: the tallies are the operation counts of each
+Counting conventions: the FLOP count is the operation count of each
 algorithm as specified, where one FLOP is one real addition/subtraction,
 multiplication or division of the detection phase; radius tests, the rail
 quantizer's rounding and best-leaf updates are not counted.
-:func:`sd_proposed` counts one add per middle-layer rail pair and one
+:func:`sd_proposed` counts one addition per middle-layer rail pair and one
 quantization per low rail of every surviving prefix; its counts depend only
 on how many prefixes survive into each layer, while its code skips the
 pairs and prefixes that provably cannot change the result.
@@ -74,22 +74,15 @@ class DetectionResult:
     ``x_hat`` holds 2N rail levels in the problem representation's symbol
     order; ``weight`` is the canonical ||y_hat - R x_hat||^2; ``restarts``
     counts radius-growth reruns (the final unconstrained fallback pass
-    included).  ``adds``, ``mults`` and ``divs`` are the operation tallies
-    of the module's counting convention.
+    included).  ``nodes_visited`` and ``flops`` are the tallies of the
+    module's counting convention.
     """
 
     x_hat: np.ndarray
     weight: float
     nodes_visited: int
     restarts: int
-    adds: int
-    mults: int
-    divs: int
-
-    @property
-    def flops(self):
-        """Counted FLOPs: adds + mults + divs."""
-        return self.adds + self.mults + self.divs
+    flops: int
 
 
 # Survivor caps of the reduced decoder's middle symbol layers, keyed by
@@ -132,14 +125,14 @@ def _check_weight(accumulated, canonical):
         )
 
 
-def _result(p, leaf, *, restarts, nodes, adds, mults, divs):
+def _result(p, leaf, *, restarts, nodes, flops):
     """The :class:`DetectionResult` of a search's leaf ``(weight, x)``: its
     accumulated weight and its 2N rail levels in symbol index order."""
     w_acc, x = leaf
     x_hat = np.array(x, dtype=int)
     weight = recompute_weight(p, x_hat)
     _check_weight(w_acc, weight)
-    return DetectionResult(x_hat, weight, nodes, restarts, adds, mults, divs)
+    return DetectionResult(x_hat, weight, nodes, restarts, flops)
 
 
 def ml_candidate_count(n, c):
@@ -167,10 +160,9 @@ def ml_exhaustive(p: LatticeProblem, c: Constellation):
     res = p.y_hat[None, :] - x @ p.r.T.copy()
     w = np.einsum("ij,ij->i", res, res)
     k = int(np.argmin(w))
-
-    ops = total * (m * (m + 1) // 2 + m)  # sum of (terms + 1) over all rows
-    return _result(p, (float(w[k]), x[k]), restarts=0, nodes=total, adds=ops,
-                   mults=ops, divs=0)
+    # per row, (terms + 1) additions and as many multiplications
+    flops = 2 * total * (m * (m + 1) // 2 + m)
+    return _result(p, (float(w[k]), x[k]), restarts=0, nodes=total, flops=flops)
 
 
 @functools.cache  # the guard admits at most 6 lists, all under 5 MB together
@@ -192,7 +184,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     """Depth-first sphere decoder on the stacked representation.
 
     Classic depth-first tree search: starting at level 2N, each node's
-    weight adds |y_hat_l - sum_{k=l..2N} r_{l,k} x_k|^2 to its parent's,
+    weight is its parent's plus |y_hat_l - sum_{k=l..2N} r_{l,k} x_k|^2,
     branches at or above the squared radius are pruned, and every accepted
     leaf shrinks the squared radius to its weight.  The tallies charge all
     mu candidates of every expanded node, each with its interference sum
@@ -270,10 +262,9 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
 
     restarts, leaf = policy.first_leaf(search)
     del dfs  # dfs refers to itself; dropping it leaves no garbage cycle
-    visited = sum(nodes_at)
-    add_total = sum(cnt * (m - j + 1) for j, cnt in enumerate(nodes_at))
-    return _result(p, leaf, restarts=restarts, nodes=visited, adds=add_total,
-                   mults=add_total, divs=0)
+    # (m - j + 1) additions and as many multiplications per candidate at j
+    flops = 2 * sum(cnt * (m - j + 1) for j, cnt in enumerate(nodes_at))
+    return _result(p, leaf, restarts=restarts, nodes=sum(nodes_at), flops=flops)
 
 
 def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
@@ -327,17 +318,17 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     rail = c.rail
     mu = c.mu
     low_syms = range(n - 1 - len(caps), 0, -1)
-    # Per-prefix tallies of the quantization step: two rails per low symbol,
-    # each with t = m - 2*sym assigned columns (t mults and t-1 adds of
-    # interference, 1 add to center, 1 div to quantize, 2 mults and 2 adds
-    # of metric).
+    # Per-prefix charge of the quantization step: two rails per low symbol,
+    # each with t = m - 2*sym assigned columns (t multiplications and t-1
+    # additions of interference, 1 addition to center, 1 division to
+    # quantize, 2 multiplications and 2 additions of metric: 2t + 5 FLOPs).
     quantized = 2 * len(low_syms)
-    leaf_ops = sum(2 * (m - 2 * sym + 2) for sym in low_syms)
+    leaf_flops = sum(2 * (2 * (m - 2 * sym) + 5) for sym in low_syms)
 
-    adds = mults = divs = nodes = 0
+    flops = nodes = 0
 
     def search(d2):
-        nonlocal adds, mults, divs, nodes
+        nonlocal flops, nodes
         # Step 1: the two top levels are independent (r[m-2, m-1] == 0).
         top = []
         for j in (m - 1, m - 2):
@@ -350,17 +341,15 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
                 if t < d2:
                     kept.append((t, omega))
             top.append(kept)
-        nodes += 2 * mu
-        mults += 4 * mu
-        adds += 2 * mu
-
         survivors = []
         for t1, w1 in top[0]:
             for t2, w2 in top[1]:
                 w = t1 + t2
                 if w < d2:
                     survivors.append((w, (w1, w2)))
-        adds += len(top[0]) * len(top[1])
+        # 2*mu metrics of 2 multiplications and 1 addition, then the pair sums
+        nodes += 2 * mu
+        flops += 6 * mu + len(top[0]) * len(top[1])
         if not survivors:
             return None
         survivors.sort()
@@ -376,10 +365,11 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
             sym = n - 1 - layer        # symbol index, 1-based
             j_im, j_re = 2 * sym - 1, 2 * sym - 2
             terms = m - 1 - j_im       # assigned columns per interference sum
+            # per prefix: 2 centered interference sums (4*terms FLOPs), mu
+            # imag and mu real metrics (4 and 3 FLOPs), mu^2 pair sums
             s = len(survivors)
-            adds += s * (2 * (terms - 1) + 2 + 3 * mu + mu * mu)
-            mults += s * (2 * terms + 4 * mu)
             nodes += s * 2 * mu
+            flops += s * (4 * terms + 7 * mu + mu * mu)
             r_im = rows[j_im][j_im]
             r_re = rows[j_re][j_re]
             # Keep pairs with w <= bound: below the radius while fewer than
@@ -426,11 +416,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         # Step 3: quantize the remaining low symbols per surviving prefix.
         # Leaf weights never fall below their prefix weight, so once a
         # prefix is heavier than the best leaf no later prefix can win.
-        s = len(survivors)
-        adds += s * leaf_ops
-        mults += s * leaf_ops
-        divs += s * quantized
-        nodes += s * quantized
+        nodes += len(survivors) * quantized
+        flops += len(survivors) * leaf_flops
         leaves = []
         best_w = d2
         for w, prefix in survivors:
@@ -460,8 +447,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         return w, values[::-1]  # detection order -> symbol index order
 
     restarts, leaf = policy.first_leaf(search)
-    return _result(p, leaf, restarts=restarts, nodes=nodes, adds=adds,
-                   mults=mults, divs=divs)
+    return _result(p, leaf, restarts=restarts, nodes=nodes, flops=flops)
 
 
 def _interference(row, prefix, j_top, m):

@@ -29,6 +29,7 @@ tree-search code: level l corresponds to row/column l-1 of R.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,8 @@ class Representation(enum.Enum):
 
 # Empty-sphere restart schedule (Hassibi & Vikalo): d^2 doubles after each
 # empty pass, at most MAX_RESTARTS times, then one unconstrained pass runs.
-# Every pass adds to a detection's tallies, so this fixed schedule is part of
-# the counting convention.
+# Every pass counts toward a detection's tallies, so this fixed schedule is
+# part of the counting convention.
 RADIUS_GROWTH = 2.0
 MAX_RESTARTS = 20
 
@@ -77,8 +78,9 @@ class RadiusPolicy:
     initial_sq: float
 
     def __post_init__(self):
-        if not self.initial_sq > 0:
-            raise ValueError("initial_sq must be positive")
+        v = self.initial_sq
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0:
+            raise ValueError(f"initial_sq must be a positive number, got {v!r}")
 
     @classmethod
     def for_noise(cls, sigma_sq, n, dimension="2n"):
@@ -158,8 +160,8 @@ def real_form(h, representation):
     out[im, im] = Re H.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square channel matrix, got {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+        raise ValueError(f"expected a non-empty square channel matrix, got {h.shape}")
     n = h.shape[0]
     re, im = _rails(n, representation)
     out = np.empty((2 * n, 2 * n))
@@ -206,7 +208,7 @@ def gram_schmidt_qr(h, pair_zeros=False):
     Raises
     ------
     DegenerateChannelError : a column residual norm fell below ``RANK_TOL``.
-    ValueError : complex or non-square input, input that is not finite or
+    ValueError : complex, empty or non-square input, input that is not finite or
         has an entry of magnitude ``MAX_ENTRY`` or more, or the declared
         pair structure does not hold numerically.
     """
@@ -215,8 +217,8 @@ def gram_schmidt_qr(h, pair_zeros=False):
         raise ValueError("expected a real matrix, got a complex one; "
                          "take its real_form first")
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
+    if h.ndim != 2 or h.shape[0] != h.shape[1] or not h.size:
+        raise ValueError(f"expected a non-empty square matrix, got shape {h.shape}")
     largest = np.abs(h).max(initial=0.0)  # NaN if any entry is NaN
     if not largest < MAX_ENTRY:
         if not math.isfinite(largest):
@@ -260,11 +262,12 @@ def preprocessing_flops(m):
     """Real add/mul/div count of one Gram-Schmidt QR plus the q^T y rotation.
 
     Counts the operations of the classical procedure above at size m x m:
-    per column k, the k inner products (m mults + m-1 adds each), the
-    residual update (k*m mults + k*m adds), the norm (m mults + m-1 adds;
-    the square root itself is not an add/mul/div), and the normalization
-    (m divisions).  The rotation costs m*m mults + m*(m-1) adds.  Summed
-    over k = 0..m-1 that is (4m-1) * m(m-1)/2 + m(3m-1), plus the rotation.
+    per column k, the k inner products (m multiplications + m-1 additions
+    each), the residual update (k*m of each), the norm (m multiplications +
+    m-1 additions; the square root itself is not counted), and the
+    normalization (m divisions).  The rotation costs m*m multiplications +
+    m*(m-1) additions.  Summed over k = 0..m-1 that is
+    (4m-1) * m(m-1)/2 + m(3m-1), plus the rotation.
     """
     return (4 * m - 1) * (m * (m - 1) // 2) + m * (3 * m - 1) + m * m + m * (m - 1)
 

@@ -69,9 +69,10 @@ _CONSTELLATIONS = {order: _build_constellation(order) for order in _RAILS}
 
 def make_constellation(order):
     """The 16-QAM or 64-QAM constellation."""
-    if order not in _CONSTELLATIONS:
-        raise ValueError(f"unsupported QAM order {order!r}; choose 16 or 64")
-    return _CONSTELLATIONS[order]
+    try:
+        return _CONSTELLATIONS[order]
+    except (KeyError, TypeError):  # TypeError: an unhashable order
+        raise ValueError(f"unsupported QAM order {order!r}; choose 16 or 64") from None
 
 
 def bits_to_symbols(bits, c, n_antennas):

@@ -72,6 +72,9 @@ MAX_SNR_POINTS = 1000
 # Noise variance limit: its deviation stays 1000x below the bound on y, MAX_ENTRY.
 _MAX_NOISE_VAR = (MAX_ENTRY / 1e3) ** 2
 
+# Ends of the Philox key (128 bits) and of each 64-bit counter word.
+_KEY_END, _WORD_END = 2**128, 2**64
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -90,15 +93,14 @@ class SimConfig:
     def __post_init__(self):
         # make_constellation, below, rejects an unsupported mod_order
         for name, low in (("n_antennas", 1), ("mod_order", None),
-                          ("trials_per_point", 1), ("seed", 0)):
+                          ("trials_per_point", 1), ("seed", None)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if low is not None and value < low:
                 raise ValueError(f"{name} must be at least {low}")
             object.__setattr__(self, name, int(value))  # a numpy integer too
-        if self.seed >= 2**128:  # the Philox key is 128-bit
-            raise ValueError("seed must be below 2**128")
+        trial_rng(self.seed, 0, 0)  # rejects a seed the Philox key cannot hold
         if self.trials_per_point >= 2**53:  # run_sweep splits trials in floats
             raise ValueError("trials_per_point must be below 2**53")
         for name in ("snr_start_db", "snr_stop_db", "snr_step_db"):
@@ -195,9 +197,19 @@ class SweepRecord:
 
 def trial_rng(seed, snr_index, trial_index):
     """Independent Philox stream for one (seed, SNR point, trial) cell:
-    key ``seed``, counter ``[0, 0, snr_index, trial_index]``."""
+    key ``seed``, counter ``[0, 0, snr_index, trial_index]``.  Raises a
+    one-line ValueError for a seed outside [0, 2**128) or an index outside
+    [0, 2**64)."""
+    if not 0 <= seed < _KEY_END:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
+    if not (0 <= snr_index < _WORD_END and 0 <= trial_index < _WORD_END):
+        raise ValueError("SNR and trial indices must be in [0, 2**64), got "
+                         f"{snr_index!r} and {trial_index!r}")
     key = _philox_key_type()(seed)
-    bg = np.random.Philox(key, counter=[0, 0, snr_index, trial_index])
+    # a uint64 array: from a list, numpy rounds an index of 2**63 or more
+    # through a float
+    counter = np.array([0, 0, snr_index, trial_index], dtype=np.uint64)
+    bg = np.random.Philox(key, counter=counter)
     return np.random.Generator(bg)
 
 

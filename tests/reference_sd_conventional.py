@@ -80,7 +80,5 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
         weight=weight,
         nodes_visited=visited,
         restarts=restarts,
-        adds=add_total,
-        mults=add_total,
-        divs=0,
+        flops=add_total + add_total,  # adds + mults; no divs
     )

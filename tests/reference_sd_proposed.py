@@ -174,9 +174,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
         weight=weight,
         nodes_visited=nodes,
         restarts=restarts,
-        adds=adds,
-        mults=mults,
-        divs=divs,
+        flops=adds + mults + divs,
     )
 
 

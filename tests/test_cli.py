@@ -101,6 +101,10 @@ class TestParseArgs:
     def test_snr_parsing(self):
         cfg = parse_args(["--snr", "5:5:15"]).config
         assert cfg.snr_points() == (5.0, 10.0, 15.0)
+        # argparse reads a bare -4:2:0 as a flag, so a negative start rides on '='
+        cfg = parse_args(["--snr=-4:2:0"]).config
+        assert cfg.snr_start_db == -4.0
+        assert cfg.snr_points() == (-4.0, -2.0, 0.0)
 
     def test_bad_snr_rejected(self):
         for bad in ("5:15", "5:0:15", "15:2:5", "a:b:c"):

@@ -46,7 +46,7 @@ def assert_same_result(a, b):
     assert a.weight == b.weight
     assert a.restarts == b.restarts
     assert a.nodes_visited == b.nodes_visited
-    assert (a.adds, a.mults, a.divs) == (b.adds, b.mults, b.divs)
+    assert a.flops == b.flops
 
 
 def seeded_problems(n, order, snr_db, dimension, trials, policy=None,

@@ -48,8 +48,14 @@ class TestStackReal:
                 assert out[i + 2, j + 2] == h[i, j].real
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            real_form(np.ones((2, 3), dtype=complex), Representation.STACKED)
+        for shape in ((2, 3), (0, 0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"expected a non-empty square channel matrix, got {shape}")):
+                real_form(np.ones(shape, dtype=complex), Representation.STACKED)
+        # an empty channel stops in real_form, before a detector sees n = 0
+        for rep in Representation:
+            with pytest.raises(ValueError, match="non-empty square"):
+                build_problem(np.zeros((0, 0)), np.zeros(0), rep)
 
 
 class TestInterleave:
@@ -134,8 +140,10 @@ class TestRadiusPolicy:
         assert pol.initial_sq == 2.0
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            RadiusPolicy(initial_sq=0.0)
+        for bad in (0.0, -1.0, float("nan"), "a", None, True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"initial_sq must be a positive number, got {bad!r}")):
+                RadiusPolicy(initial_sq=bad)
         with pytest.raises(ValueError):
             RadiusPolicy.for_noise(1.0, 2, dimension="3n")
 

@@ -1,5 +1,6 @@
 """Tests for the classical Gram-Schmidt QR and its operation count."""
 
+import re
 import warnings
 
 import numpy as np
@@ -70,8 +71,11 @@ class TestGramSchmidtQr:
             gram_schmidt_qr(h)
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            gram_schmidt_qr(np.ones((3, 4)))
+        for shape in ((3, 4), (0, 0)):
+            for pair_zeros in (False, True):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"expected a non-empty square matrix, got shape {shape}")):
+                    gram_schmidt_qr(np.ones(shape), pair_zeros=pair_zeros)
 
     @pytest.mark.parametrize("pair_zeros", [False, True])
     def test_complex_rejected(self, pair_zeros):

@@ -30,8 +30,10 @@ class TestMakeConstellation:
         assert c.avg_symbol_energy == 42.0
 
     def test_unsupported_order(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            make_constellation(4)
+        for order in (4, "16", [16]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unsupported QAM order {order!r}; choose 16 or 64")):
+                make_constellation(order)
 
 
 class TestGrayMapping:

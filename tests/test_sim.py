@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -57,6 +58,22 @@ class TestDrawChannel:
         a = drawn_channel(trial_rng(5, 1, 2), 4)
         b = drawn_channel(trial_rng(5, 1, 2), 4)
         assert np.array_equal(a, b)
+
+    def test_stream_key_range(self):
+        # a 128-bit key and 64-bit counter words: outside them numpy would
+        # raise OverflowError, and an index of 2**63 or more must not be rounded
+        for args in ((-1, 0, 0), (2**128, 0, 0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be in [0, 2**128), got {args[0]}")):
+                trial_rng(*args)
+        for args in ((0, -1, 0), (0, 2**64, 0), (0, 0, -1), (0, 0, 2**64)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "SNR and trial indices must be in [0, 2**64), got "
+                    f"{args[1]} and {args[2]}")):
+                trial_rng(*args)
+        state = trial_rng(2**128 - 1, 2**64 - 1, 2**63 + 1).bit_generator.state["state"]
+        assert state["key"].tolist() == [2**64 - 1, 2**64 - 1]
+        assert state["counter"].tolist() == [0, 0, 2**64 - 1, 2**63 + 1]
 
     def test_entries_finite(self):
         rng = np.random.default_rng(91)
@@ -418,6 +435,8 @@ class TestConfigRules:
                 == _message(sigma_for_snr, 4000.0, c16, 2))
         assert (_message(SimConfig, radius_dimension="3n")
                 == _message(RadiusPolicy.for_noise, 1.0, 2, dimension="3n"))
+        for seed in (-1, 2**128):
+            assert _message(SimConfig, seed=seed) == _message(trial_rng, seed, 0, 0)
 
     def test_detectors_are_stored_as_a_tuple(self):
         cfg = SimConfig(detectors=["sd-new", "sd-conv"], trials_per_point=1)
@@ -470,7 +489,8 @@ class TestConfigRules:
         # the checks are raises, not asserts, so -O keeps them
         cases = ({"radius_dimension": "3n"}, {"n_antennas": 3, "detectors": ("sd-new",)},
                  *_NON_INTEGER_INPUTS, *_NON_NUMBER_INPUTS, {"detectors": "sd-new"},
-                 {"detectors": {"sd-new"}}, {"snr_step_db": 1e-10, "snr_stop_db": 0.0})
+                 {"detectors": {"sd-new"}}, {"snr_step_db": 1e-10, "snr_stop_db": 0.0},
+                 {"seed": -1}, {"seed": 2**128})
         code = ("from decimal import Decimal\n"
                 "from spheredec.sim import SimConfig\n"
                 f"for kw in {cases!r}:\n"
