@@ -72,9 +72,6 @@ MAX_SNR_POINTS = 1000
 # Noise variance limit: its deviation stays 1000x below the bound on y, MAX_ENTRY.
 _MAX_NOISE_VAR = (MAX_ENTRY / 1e3) ** 2
 
-# Ends of the Philox key (128 bits) and of each 64-bit counter word.
-_KEY_END, _WORD_END = 2**128, 2**64
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -94,15 +91,11 @@ class SimConfig:
         # make_constellation, below, rejects an unsupported mod_order
         for name, low in (("n_antennas", 1), ("mod_order", None),
                           ("trials_per_point", 1), ("seed", None)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = _as_int(name, getattr(self, name))
             if low is not None and value < low:
                 raise ValueError(f"{name} must be at least {low}")
-            object.__setattr__(self, name, int(value))  # a numpy integer too
-        trial_rng(self.seed, 0, 0)  # rejects a seed the Philox key cannot hold
-        if self.trials_per_point >= 2**53:  # run_sweep splits trials in floats
-            raise ValueError("trials_per_point must be below 2**53")
+            object.__setattr__(self, name, value)
+        trial_rng(self.seed, 0, self.trials_per_point - 1)  # fits the Philox ranges
         for name in ("snr_start_db", "snr_stop_db", "snr_step_db"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -146,7 +139,7 @@ class SimConfig:
         pts = []
         s = self.snr_start_db
         while (point := round(s, 9)) <= self.snr_stop_db and len(pts) <= MAX_SNR_POINTS:
-            pts.append(point)
+            pts.append(point + 0.0)  # round keeps the sign of -0.0, which prints "-0"
             s += self.snr_step_db
         return tuple(pts)
 
@@ -197,20 +190,36 @@ class SweepRecord:
 
 def trial_rng(seed, snr_index, trial_index):
     """Independent Philox stream for one (seed, SNR point, trial) cell:
-    key ``seed``, counter ``[0, 0, snr_index, trial_index]``.  Raises a
-    one-line ValueError for a seed outside [0, 2**128) or an index outside
-    [0, 2**64)."""
-    if not 0 <= seed < _KEY_END:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed!r}")
-    if not (0 <= snr_index < _WORD_END and 0 <= trial_index < _WORD_END):
-        raise ValueError("SNR and trial indices must be in [0, 2**64), got "
-                         f"{snr_index!r} and {trial_index!r}")
-    key = _philox_key_type()(seed)
+    key ``seed``, counter ``[0, 0, snr_index, trial_index]``.  A numpy
+    integer gives the stream of the int it holds.  Raises a one-line
+    ValueError for a seed or index that is not an integer (a float, a bool
+    or a string), a seed outside [0, 2**128) or an index outside [0, 2**64)."""
+    key = _philox_key_type()(_word("seed", seed, 128))
     # a uint64 array: from a list, numpy rounds an index of 2**63 or more
     # through a float
-    counter = np.array([0, 0, snr_index, trial_index], dtype=np.uint64)
+    counter = np.array([0, 0, _word("snr_index", snr_index, 64),
+                        _word("trial_index", trial_index, 64)], dtype=np.uint64)
     bg = np.random.Philox(key, counter=counter)
     return np.random.Generator(bg)
+
+
+def _word(name, value, bits):
+    """``value`` as an int in [0, 2**bits), or a one-line ValueError."""
+    value = _as_int(name, value)
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{name} must be in [0, 2**{bits}), got {value!r}")
+    return value
+
+
+def _as_int(name, value):
+    """``value`` as an int, or a one-line ValueError unless it is an integer
+    (one Python can index with, such as a numpy integer; a bool is not)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @functools.cache
@@ -342,32 +351,35 @@ def _trial_block(cfg, snr_index, snr_db, lo, hi):
 
 
 def check_workers(workers):
-    """Raise a one-line ValueError unless ``workers`` is an integer >= 1."""
-    if (isinstance(workers, bool) or not isinstance(workers, numbers.Integral)
-            or workers < 1):
+    """``workers`` as an int, or a one-line ValueError unless it is an
+    integer >= 1."""
+    try:
+        value = _as_int("workers", workers)
+    except ValueError:
+        value = 0
+    if value < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return value
 
 
 def run_sweep(cfg, workers=1):
     """Run the full sweep and aggregate one SweepRecord per (SNR, detector).
 
-    Each SNR point's trials are split into ``workers`` blocks, and all
-    blocks of the sweep share one process pool of at most one process per
-    CPU; the derived per-trial streams and integer partial sums make the
-    result identical for every ``workers``.  No pool is started when
-    ``workers`` is 1 or a point has fewer than two trials per worker.
+    Each point's trials are cut, in exact integers, into ``workers`` blocks
+    of consecutive trials; the sweep's blocks share one process pool of at
+    most one process per CPU.  Per-trial streams and integer partial sums
+    make the result identical for every ``workers``.  No pool is started
+    when ``workers`` is 1 or a point has fewer than two trials per worker.
     """
-    check_workers(workers)
+    workers = check_workers(workers)  # a numpy integer too, so the bounds are exact ints
     c = make_constellation(cfg.mod_order)
     bits_per_trial = 2 * cfg.n_antennas * c.bits_per_rail
     trials = cfg.trials_per_point
     points = cfg.snr_points()
 
     blocks = workers if trials >= 2 * workers else 1
-    bounds = np.linspace(0, trials, blocks + 1).astype(int)
-    jobs = [(cfg, i, snr_db, int(lo), int(hi))
-            for i, snr_db in enumerate(points)
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    jobs = [(cfg, i, snr_db, trials * b // blocks, trials * (b + 1) // blocks)
+            for i, snr_db in enumerate(points) for b in range(blocks)]
     if blocks == 1:
         parts = map(_trial_block, *zip(*jobs))
     else:

@@ -37,6 +37,11 @@ def binomial_ci(errors, total, z=1.96):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def random_channel(rng, n):
+    """An n x n i.i.d. unit-variance circular complex Gaussian channel."""
+    return np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
 def to_representation_order(x_pair, representation):
     """Pair-ordered rail vector -> the representation's symbol order,
     written out per representation as an oracle for ``to_pair_order``."""

@@ -1,8 +1,15 @@
 """The benchmark's traced correctness gate, run on this checkout.
 
-``perfbench/spans.py`` wraps the detectors, ``run_trial`` and
-``build_problem`` by their names in ``spheredec.sim`` and ``spheredec.lattice``,
-so a change to those names or to what they return breaks this run first.
+``perfbench/spans.py`` replaces these names with span recorders:
+in ``spheredec.sim`` the three detectors, ``run_trial``, ``trial_rng``,
+``draw_instance``, ``build_problem`` and ``symbols_to_bits``, and in
+``spheredec.lattice`` ``gram_schmidt_qr``.  It reads a detector result's
+``nodes_visited``, ``flops`` and ``restarts``, and takes the trial id from
+``trial_rng``'s SNR and trial indices as the positional ``args[1]`` and
+``args[2]``, so the sweep must pass them positionally.  Each trial id must
+have one ``sim.rng`` span and one ``sim.run_trial`` span, because a trial's
+time runs from the start of the one to the end of the other.  A change to
+any of these breaks this run first.
 Its spans go to the ignored ``perfbench/out/``.
 """
 

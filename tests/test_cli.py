@@ -49,8 +49,7 @@ def sample_records():
 # CLI arguments whose only check is SimConfig's, and the config they make.
 _LIBRARY_RULES = {("--detector", "zf"): {"detectors": ("zf",)},
                   ("--radius-dim", "3n"): {"radius_dimension": "3n"},
-                  ("--trials", "9300000000000000000"):
-                      {"trials_per_point": 9300000000000000000},
+                  ("--trials", str(2**64 + 1)): {"trials_per_point": 2**64 + 1},
                   ("--trials", str(10**20)): {"trials_per_point": 10**20},
                   ("--n", "4", "--mod", "64qam"): {"n_antennas": 4, "mod_order": 64},
                   ("--snr", "0:1e-10:0"): {"snr_start_db": 0.0, "snr_step_db": 1e-10,
@@ -70,6 +69,11 @@ class TestParseArgs:
         assert cfg.radius_dimension == "2n"
         assert args.out_path == "-"
         assert args.format == "csv"
+
+    def test_trial_counts_up_to_the_counter_limit(self):
+        # parsed only, never run
+        for trials in (2**53, 2**64):
+            assert parse_args(["--trials", str(trials)]).config.trials_per_point == trials
 
     def test_n_and_mod(self):
         cfg = parse_args(["--n", "4", "--mod", "64qam",
@@ -128,7 +132,7 @@ class TestParseArgs:
         (["--detector", "zf"], {}),
         (["--radius-dim", "3n"], {}),
         ([], {"LATTICE_SD_THREADS": "2.5"}),
-        (["--trials", "9300000000000000000"], {}),
+        (["--trials", str(2**64 + 1)], {}),
         (["--trials", str(10**20)], {}),
         (["--n", "4", "--mod", "64qam"], {}),
         (["--snr", "0:1e-10:0"], {}),

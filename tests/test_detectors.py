@@ -28,11 +28,12 @@ from spheredec.lattice import (
 )
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
 
-from conftest import reorder_received, subprocess_env, to_representation_order
-
-
-def random_channel(rng, n):
-    return np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+from conftest import (
+    random_channel,
+    reorder_received,
+    subprocess_env,
+    to_representation_order,
+)
 
 
 def random_instance(rng, n, c, sigma_sq):
@@ -490,6 +491,11 @@ _CHECKED_CALLS = (
     "trial_rng(2**128, 0, 0)",
     "trial_rng(0, -1, 0)",
     "trial_rng(0, 0, 2**64)",
+    "trial_rng(5.0, 0, 0)",
+    "trial_rng(True, 0, 0)",
+    "trial_rng('5', 0, 0)",
+    "trial_rng(0, 3.0, 0)",
+    "trial_rng(0, 0, False)",
 )
 
 

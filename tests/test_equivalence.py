@@ -16,6 +16,11 @@ centers fall exactly on a rail or midway between two, which are the cases
 the widened Fincke–Pohst interval must get right.
 """
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from spheredec.sim import SimConfig, draw_instance, sigma_for_snr, trial_rng
 
 import reference_sd_conventional
 import reference_sd_proposed
+from conftest import subprocess_env
 
 # Reproducible, offline and bounded: no example database, a fixed seed.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -157,3 +163,27 @@ class TestConventionalMatchesReference:
         p, c, policy = case
         assert_same_result(sd_conventional(p, c, policy),
                            reference_sd_conventional.sd_conventional(p, c, policy))
+
+
+def test_a_failing_property_test_leaves_the_run_going(tmp_path):
+    # pytest turns warnings into errors; one raised by the hypothesis plugin
+    # while it reports a failure would end the run with an INTERNALERROR
+    test_file = tmp_path / "test_two.py"
+    test_file.write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 0
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider",
+         "-q", str(test_file)],
+        cwd=tmp_path, env=subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("1 failed, 1 passed"), proc.stdout

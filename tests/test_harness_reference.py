@@ -36,9 +36,12 @@ def assert_same_bits(a, b):
 
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1, 2**64, 2**100 + 12345, 2**128 - 1])
 def test_trial_rng_same_stream(seed):
-    for snr_index, trial_index in ((0, 0), (3, 17), (999, 2**40)):
-        got = trial_rng(seed, snr_index, trial_index)
-        want = ref.trial_rng(seed, snr_index, trial_index)
+    cells = [(seed, 0, 0), (seed, 3, 17), (seed, 999, 2**40)]
+    if seed < 2**64:  # a numpy integer gives the stream of the int it holds
+        cells.append((np.uint64(seed), np.int64(3), np.uint64(17)))
+    for cell in cells:
+        got = trial_rng(*cell)
+        want = ref.trial_rng(*map(int, cell))
         assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
         assert_same_bits(got.standard_normal(9), want.standard_normal(9))
         assert_same_bits(got.integers(0, 2, size=7), want.integers(0, 2, size=7))

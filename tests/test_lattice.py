@@ -17,11 +17,7 @@ from spheredec.lattice import (
 )
 from spheredec.modem import bits_to_symbols, make_constellation, rails_to_complex
 
-from conftest import reorder_received, to_representation_order
-
-
-def random_channel(rng, n):
-    return np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+from conftest import random_channel, reorder_received, to_representation_order
 
 
 class TestStackReal:

@@ -14,6 +14,8 @@ from spheredec.lattice import (
     real_form,
 )
 
+from conftest import random_channel
+
 
 def householder_qr_positive(h):
     """Independent oracle: LAPACK Householder QR, diagonal forced positive."""
@@ -24,8 +26,7 @@ def householder_qr_positive(h):
 
 
 def random_interleaved(rng, n):
-    h = np.sqrt(0.5) * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return real_form(h, Representation.INTERLEAVED)
+    return real_form(random_channel(rng, n), Representation.INTERLEAVED)
 
 
 class TestGramSchmidtQr:

@@ -66,11 +66,11 @@ class TestDrawChannel:
             with pytest.raises(ValueError, match=re.escape(
                     f"seed must be in [0, 2**128), got {args[0]}")):
                 trial_rng(*args)
-        for args in ((0, -1, 0), (0, 2**64, 0), (0, 0, -1), (0, 0, 2**64)):
-            with pytest.raises(ValueError, match=re.escape(
-                    "SNR and trial indices must be in [0, 2**64), got "
-                    f"{args[1]} and {args[2]}")):
-                trial_rng(*args)
+        for index in (-1, 2**64):
+            for name, args in (("snr_index", (0, index, 0)), ("trial_index", (0, 0, index))):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{name} must be in [0, 2**64), got {index}")):
+                    trial_rng(*args)
         state = trial_rng(2**128 - 1, 2**64 - 1, 2**63 + 1).bit_generator.state["state"]
         assert state["key"].tolist() == [2**64 - 1, 2**64 - 1]
         assert state["counter"].tolist() == [0, 0, 2**64 - 1, 2**63 + 1]
@@ -305,11 +305,14 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="seed"):
                 SimConfig(seed=seed)
         SimConfig(seed=2**128 - 1)
-        # run_sweep's float split of the trials into blocks is exact below 2**53
-        for trials in (2**53, 9300000000000000000, 10**20):
-            with pytest.raises(ValueError, match=r"^trials_per_point must be below 2\*\*53$"):
+        # the last trial index must fit a 64-bit Philox counter word; the
+        # accepted counts are only constructed, never run
+        for trials in (2**64 + 1, 10**20):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"trial_index must be in [0, 2**64), got {trials - 1}")):
                 SimConfig(trials_per_point=trials)
-        SimConfig(trials_per_point=2**53 - 1)
+        for trials in (2**53, 2**64):
+            assert SimConfig(trials_per_point=trials).trials_per_point == trials
         # the ML oracle scans at most 4^8 candidates: 4x4 16-QAM
         for n, order in ((6, 64), (3, 64), (4, 64), (5, 16), (6, 16)):
             with pytest.raises(ValueError, match="above the 65536 guard"):
@@ -373,28 +376,48 @@ class TestRunSweep:
         cfg = self._tiny_cfg(trials_per_point=2)
         assert [r.trials for r in run_sweep(cfg)] == [2] * 4
 
-    def test_pool_has_at_most_one_process_per_cpu(self, monkeypatch):
-        # an in-process pool stands in, so no process is started
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
+    def test_pool_has_at_most_one_process_per_cpu(self, fake_pool):
+        sizes, _ = fake_pool
         cfg = self._tiny_cfg(detectors=("sd-conv",), snr_stop_db=0.0,
                              trials_per_point=128)
-        expected = run_sweep(cfg, workers=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-        assert run_sweep(cfg, workers=64) == expected
+        assert run_sweep(cfg, workers=64) == run_sweep(cfg, workers=1)
         assert sizes == [min(64, os.cpu_count() or 1)]
+
+    @pytest.mark.parametrize("workers", [2, 3, 5, 7, np.int64(3)])
+    def test_trials_split_into_exact_integer_blocks(self, fake_pool, workers):
+        _, jobs = fake_pool
+        cfg = self._tiny_cfg(detectors=("sd-conv",), trials_per_point=37)
+        assert run_sweep(cfg, workers=workers) == run_sweep(cfg, workers=1)
+        assert all(type(bound) is int for job in jobs for bound in job[3:])
+        # each point's trials, in trial order, cut at the exact 37 * b // workers
+        for i in range(len(cfg.snr_points())):
+            assert [job[3:] for job in jobs if job[1] == i] == [
+                (37 * b // workers, 37 * (b + 1) // workers) for b in range(workers)]
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """An in-process stand-in for ProcessPoolExecutor, so no process is
+    started.  Returns the lists it fills: each pool's size and the argument
+    tuple of each job it maps ``_trial_block`` over."""
+    sizes, jobs = [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            jobs.extend(zip(*columns))
+            return map(fn, *columns)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes, jobs
 
 
 # Non-integer values of integer inputs.  Unchecked, 2.5 trials would run 2,
@@ -435,8 +458,10 @@ class TestConfigRules:
                 == _message(sigma_for_snr, 4000.0, c16, 2))
         assert (_message(SimConfig, radius_dimension="3n")
                 == _message(RadiusPolicy.for_noise, 1.0, 2, dimension="3n"))
-        for seed in (-1, 2**128):
+        for seed in (-1, 2**128, True):
             assert _message(SimConfig, seed=seed) == _message(trial_rng, seed, 0, 0)
+        assert (_message(SimConfig, trials_per_point=2**64 + 1)
+                == _message(trial_rng, 42, 0, 2**64))
 
     def test_detectors_are_stored_as_a_tuple(self):
         cfg = SimConfig(detectors=["sd-new", "sd-conv"], trials_per_point=1)
@@ -485,12 +510,19 @@ class TestConfigRules:
         assert render_csv(recs).splitlines()[1].startswith("0.333333333,sd-new,")
         assert json.loads(render_json(recs))[0]["snr_db"] == 0.333333333
 
+    @pytest.mark.parametrize("start", [-0.0, -4e-10])
+    def test_zero_snr_renders_unsigned(self, start):
+        # -0.0 == 0.0, so only the rendered row shows a sign
+        cfg = SimConfig(detectors=("sd-new",), snr_start_db=start, snr_stop_db=1.0,
+                        snr_step_db=2.0, trials_per_point=1)
+        assert render_csv(run_sweep(cfg)).splitlines()[1].startswith("0,sd-new,")
+
     def test_rules_hold_under_optimize(self):
         # the checks are raises, not asserts, so -O keeps them
         cases = ({"radius_dimension": "3n"}, {"n_antennas": 3, "detectors": ("sd-new",)},
                  *_NON_INTEGER_INPUTS, *_NON_NUMBER_INPUTS, {"detectors": "sd-new"},
                  {"detectors": {"sd-new"}}, {"snr_step_db": 1e-10, "snr_stop_db": 0.0},
-                 {"seed": -1}, {"seed": 2**128})
+                 {"seed": -1}, {"seed": 2**128}, {"trials_per_point": 2**64 + 1})
         code = ("from decimal import Decimal\n"
                 "from spheredec.sim import SimConfig\n"
                 f"for kw in {cases!r}:\n"
