@@ -38,6 +38,7 @@ Search conventions shared by the tree detectors:
   the weight bit-for-bit.
 """
 
+import bisect
 import functools
 import heapq
 import math
@@ -121,7 +122,8 @@ def _check_weight(accumulated, canonical):
     if not abs(accumulated - canonical) <= _WEIGHT_CONSISTENCY * (1.0 + canonical):
         raise RuntimeError(
             f"accumulated weight {accumulated!r} disagrees with canonical "
-            f"{canonical!r}"
+            f"{canonical!r}; R must be upper triangular, with r[k, k+1] = 0 "
+            "at even k in the interleaved form"
         )
 
 
@@ -272,15 +274,15 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     """Reduced-complexity decoder for the interleaved representation.
 
     Relies on the exact zeros r[l-1, l] (even l) of the interleaved R, which
-    decouple the real and imaginary rails of each symbol:
+    decouple the real and imaginary rails of each symbol.  Steps 1 and 2
+    share one per-symbol layer scan: it expands each surviving prefix into
+    the mu^2 rail pairs of the next symbol (two decoupled one-dimensional
+    metrics per prefix), pruned by the cumulative radius test and capped.
 
-    1. The two top levels are scanned independently with one-dimensional
-       metrics; every (x_{2N}, x_{2N-1}) pair whose summed weight respects
-       the radius survives.
-    2. For N >= 3, each middle symbol is expanded into its mu^2 rail pairs
-       (two decoupled one-dimensional metrics per prefix), pruned by the
-       cumulative radius test, and capped at the layer's entry of
-       ``caps``, the best-weight survivors kept.
+    1. The top symbol, from the empty prefix and uncapped: every
+       (x_{2N}, x_{2N-1}) pair whose summed weight respects the radius survives.
+    2. For N >= 3, each middle symbol, capped at its entry of ``caps``, the
+       best-weight survivors kept.
     3. The remaining low symbols are estimated per surviving prefix by rail
        quantization of the interference-cancelled values, accumulating the
        exact leaf weight; leaves inside the sphere compete and the lowest
@@ -329,47 +331,21 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
 
     def search(d2):
         nonlocal flops, nodes
-        # Step 1: the two top levels are independent (r[m-2, m-1] == 0).
-        top = []
-        for j in (m - 1, m - 2):
-            yj = yh[j]
-            rjj = rows[j][j]
-            kept = []
-            for omega in rail:
-                d = yj - rjj * omega
-                t = d * d
-                if t < d2:
-                    kept.append((t, omega))
-            top.append(kept)
-        survivors = []
-        for t1, w1 in top[0]:
-            for t2, w2 in top[1]:
-                w = t1 + t2
-                if w < d2:
-                    survivors.append((w, (w1, w2)))
-        # 2*mu metrics of 2 multiplications and 1 addition, then the pair sums
-        nodes += 2 * mu
-        flops += 6 * mu + len(top[0]) * len(top[1])
-        if not survivors:
-            return None
-        survivors.sort()
-
-        # Step 2, middle symbol layers (N >= 3): the best `cap` of the mu^2
+        # Steps 1 and 2, one symbol layer at a time.  Layer 0 is the top
+        # symbol: one empty prefix, no interference, and a cap of mu^2 that
+        # cannot bind.  Each later layer keeps the best `cap` of the mu^2
         # rail pairs of every surviving prefix.  A pair weight is
         # (w_pre + t_im) + t_re with both terms sorted ascending, so each
         # scan below stops at the first pair that cannot make the cap:
         # one at or above the radius, or above the cap-th smallest weight
         # found so far.  A pair tied with that weight is still kept, and
         # the final (weight, prefix) sort decides among ties.
-        for layer, cap in enumerate(caps):
-            sym = n - 1 - layer        # symbol index, 1-based
+        survivors = [(0.0, ())]
+        for layer, cap in enumerate((mu * mu, *caps)):
+            sym = n - layer            # symbol index, 1-based
             j_im, j_re = 2 * sym - 1, 2 * sym - 2
-            terms = m - 1 - j_im       # assigned columns per interference sum
-            # per prefix: 2 centered interference sums (4*terms FLOPs), mu
-            # imag and mu real metrics (4 and 3 FLOPs), mu^2 pair sums
             s = len(survivors)
             nodes += s * 2 * mu
-            flops += s * (4 * terms + 7 * mu + mu * mu)
             r_im = rows[j_im][j_im]
             r_re = rows[j_re][j_re]
             # Keep pairs with w <= bound: below the radius while fewer than
@@ -408,6 +384,17 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
                         elif w < bound:
                             heapq.heapreplace(heap, -w)
                             bound = -heap[0]
+            if layer:
+                # per prefix: 2 centered interference sums over the m-1-j_im
+                # assigned columns (4 FLOPs a column), mu imag and mu real
+                # metrics (4 and 3 FLOPs), mu^2 pair sums
+                flops += s * (4 * (m - 1 - j_im) + 7 * mu + mu * mu)
+            else:
+                # 2*mu metrics of 2 multiplications and 1 addition, then the
+                # sums of the pairs whose rails are each inside the radius
+                # (w_pre is 0.0 and both lists are sorted: bisect counts them)
+                flops += (6 * mu + bisect.bisect_left(part_im, (d2,))
+                          * bisect.bisect_left(t_re, (d2,)))
             if not nxt:
                 return None
             nxt.sort()
@@ -454,8 +441,10 @@ def _interference(row, prefix, j_top, m):
     """Sum of r[row, k] * x_k over the assigned columns k > j_top.
 
     ``prefix`` holds the assigned values in detection order (x at column
-    m-1 first).
+    m-1 first); the empty prefix of the top symbol gives 0.0.
     """
+    if not prefix:
+        return 0.0
     e = row[j_top + 1] * prefix[m - 2 - j_top]
     for k in range(j_top + 2, m):
         e += row[k] * prefix[m - 1 - k]

@@ -132,13 +132,23 @@ class LatticeProblem:
     r[k, k+1] == 0.0 exactly for even 0-based k.  The QR + rotation cost is
     :func:`preprocessing_flops` of 2N, the same for every problem of a
     size.  The search radius is not part of the problem: each tree
-    detector takes its :class:`RadiusPolicy`.
+    detector takes its :class:`RadiusPolicy`.  ``n`` is N, read from
+    ``y_hat``, so the problem cannot disagree with its own arrays.
     """
 
     r: np.ndarray
     y_hat: np.ndarray
     representation: Representation
-    n: int
+
+    def __post_init__(self):
+        y, r = np.shape(self.y_hat), np.shape(self.r)
+        if len(y) != 1 or not y[0] or y[0] % 2 or r != 2 * y:
+            raise ValueError(f"expected y_hat of even length 2N > 0 and r of shape "
+                             f"(2N, 2N), got shapes {y} and {r}")
+
+    @property
+    def n(self):
+        return len(self.y_hat) // 2
 
 
 def _rails(n, representation):
@@ -298,5 +308,4 @@ def build_problem(h, y, representation):
     pair_zeros = representation is Representation.INTERLEAVED
     factors = gram_schmidt_qr(h_real, pair_zeros=pair_zeros)
     y_hat = factors.q.T @ y_real
-    return LatticeProblem(r=factors.r, y_hat=y_hat,
-                          representation=representation, n=n)
+    return LatticeProblem(r=factors.r, y_hat=y_hat, representation=representation)

@@ -163,7 +163,6 @@ def build_problem(h, y, representation):
         r=factors.r,
         y_hat=y_hat,
         representation=representation,
-        n=n,
     )
 
 

@@ -200,7 +200,7 @@ class TestSdConventional:
         # weight tie (1.5625 + 9.765625 == 11.328125) is pruned by the
         # strict test.
         p = LatticeProblem(r=np.eye(2), y_hat=np.array([0.125, 0.25]),
-                           representation=Representation.STACKED, n=1)
+                           representation=Representation.STACKED)
         c = make_constellation(16)
         res = sd_conventional(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, 1]))
@@ -219,7 +219,7 @@ class TestSdConventional:
         # Three expanded nodes, each charged all 4 rails: 4 top + 8 bottom
         # nodes, adds and mults 4*2 + 8*3 = 32 each, 64 FLOPs.
         p = LatticeProblem(r=np.eye(2), y_hat=np.zeros(2),
-                           representation=Representation.STACKED, n=1)
+                           representation=Representation.STACKED)
         c = make_constellation(16)
         res = sd_conventional(p, c, RadiusPolicy(initial_sq=4.0))
         assert np.array_equal(res.x_hat, np.array([-1, -1]))
@@ -304,7 +304,7 @@ class TestSdProposed:
         # and kept, and with no low symbols left each pair is a leaf.
         # Totals: adds 8+16, mults 16, no divs (40 FLOPs), nodes 8.
         p = LatticeProblem(r=np.eye(2), y_hat=np.array([0.125, 0.25]),
-                           representation=Representation.INTERLEAVED, n=1)
+                           representation=Representation.INTERLEAVED)
         c = make_constellation(16)
         res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, 1]))
@@ -330,7 +330,7 @@ class TestSdProposed:
         # 360, divs 4 (924 FLOPs), nodes 8+128+4 = 140.
         p = LatticeProblem(r=np.eye(6),
                            y_hat=np.array([0.125, -0.25, 2.5, -2.25, 0.75, -1.5]),
-                           representation=Representation.INTERLEAVED, n=3)
+                           representation=Representation.INTERLEAVED)
         c = make_constellation(16)
         res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9), caps=(2,))
         assert np.array_equal(res.x_hat, np.array([1, -1, 3, -3, 1, -1]))
@@ -350,7 +350,7 @@ class TestSdProposed:
         r = np.eye(4)
         r[1, 3] = r[0, 3] = -1.5
         p = LatticeProblem(r=r, y_hat=np.array([2.5, 2.5, 1.0, 0.5]),
-                           representation=Representation.INTERLEAVED, n=2)
+                           representation=Representation.INTERLEAVED)
         c = make_constellation(16)
         res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, 1, 1, -1]))
@@ -459,14 +459,32 @@ class TestRecomputeWeight:
         assert proc.returncode != 0
         assert "disagrees with canonical" in proc.stderr
 
+    @pytest.mark.parametrize("rep, entry", [(Representation.STACKED, (1, 0)),
+                                            (Representation.INTERLEAVED, (0, 1))])
+    def test_weight_disagreement_names_the_structure_of_r(self, rep, entry):
+        # each detector reads only the entries its structure allows, so R = I
+        # with r[1, 0] = 5 (stacked) or r[0, 1] = 5 (interleaved) and y_hat =
+        # [1, 1] gives the leaf [1, 1] at accumulated weight 0, canonical 25
+        r = np.eye(2)
+        r[entry] = 5.0
+        p = LatticeProblem(r=r, y_hat=np.ones(2), representation=rep)
+        detector = sd_conventional if rep is Representation.STACKED else sd_proposed
+        with pytest.raises(RuntimeError, match=re.escape(
+                "accumulated weight 0.0 disagrees with canonical 25.0; R must be "
+                "upper triangular, with r[k, k+1] = 0 at even k in the interleaved "
+                "form")):
+            detector(p, make_constellation(16), RadiusPolicy(initial_sq=1e9))
 
-# Raises of the layout, QR, K-best, radius, constellation and stream-key
-# input checks, each run under python -O by test_input_checks_hold_under_optimize.
+
+# Raises of the layout, QR, problem-shape, K-best, radius, constellation and
+# stream-key input checks, each run under python -O by
+# test_input_checks_hold_under_optimize.
 _CHECK_SETUP = (
     "import numpy as np\n"
     "from spheredec.detectors import sd_proposed\n"
-    "from spheredec.lattice import (RadiusPolicy, Representation, build_problem,\n"
-    "                               gram_schmidt_qr, real_form, to_pair_order)\n"
+    "from spheredec.lattice import (LatticeProblem, RadiusPolicy, Representation,\n"
+    "                               build_problem, gram_schmidt_qr, real_form,\n"
+    "                               to_pair_order)\n"
     "from spheredec.modem import make_constellation\n"
     "from spheredec.sim import trial_rng\n"
     "c = make_constellation(16)\n"
@@ -484,6 +502,9 @@ _CHECKED_CALLS = (
     "real_form(np.zeros((0, 0)), Representation.STACKED)",
     "gram_schmidt_qr(np.zeros((0, 0)), pair_zeros=True)",
     "build_problem(np.zeros((0, 0)), np.zeros(0), Representation.INTERLEAVED)",
+    "LatticeProblem(np.eye(3), np.ones(4), Representation.STACKED)",
+    "LatticeProblem(np.eye(4), np.ones((2, 2)), Representation.STACKED)",
+    "LatticeProblem(np.eye(3), np.ones(3), Representation.INTERLEAVED)",
     "RadiusPolicy(initial_sq='a')",
     "RadiusPolicy(initial_sq=None)",
     "make_constellation([16])",

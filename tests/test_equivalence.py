@@ -84,7 +84,7 @@ def dyadic_problems(draw, max_n, representation, pair_zeros=True):
     y_hat = np.array(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))) / 2
     radius_sq = draw(st.sampled_from([0.25, 1.0, 4.0, 16.0, 1e9]))
     c = make_constellation(draw(st.sampled_from([16, 64])))
-    p = LatticeProblem(r=r, y_hat=y_hat, representation=representation, n=n)
+    p = LatticeProblem(r=r, y_hat=y_hat, representation=representation)
     return p, c, RadiusPolicy(initial_sq=radius_sq * 4**3 / 2**20)
 
 

@@ -237,6 +237,23 @@ class TestBuildProblem:
             with pytest.raises(ValueError, match=message):
                 call()
 
+    def test_n_is_read_from_y_hat(self):
+        # N has no field of its own, so it cannot disagree with the arrays
+        p = LatticeProblem(np.eye(4), np.ones(4), Representation.STACKED)
+        assert p.n == 2
+        with pytest.raises(AttributeError):
+            p.n = 3
+        with pytest.raises(TypeError):
+            LatticeProblem(np.eye(4), np.ones(4), Representation.STACKED, n=3)
+
+    @pytest.mark.parametrize("r_shape, y_shape", [
+        ((4, 4), (3,)), ((0, 0), (0,)), ((2, 2), (2, 1)), ((4, 4), (2,)), ((4,), (2,))])
+    def test_shape_rule(self, r_shape, y_shape):
+        message = (f"expected y_hat of even length 2N > 0 and r of shape (2N, 2N), "
+                   f"got shapes {y_shape} and {r_shape}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LatticeProblem(np.ones(r_shape), np.ones(y_shape), Representation.INTERLEAVED)
+
     def test_degenerate_channel_propagates(self):
         h = np.ones((2, 2), dtype=complex)
         with pytest.raises(DegenerateChannelError):
