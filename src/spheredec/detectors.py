@@ -55,8 +55,10 @@ from .modem import Constellation, quantize_rail
 ML_CANDIDATE_GUARD = 4**8
 
 # Relative agreement required between a search's accumulated weight and the
-# canonical recomputation of the same leaf.
+# canonical recomputation of the same leaf.  Only a problem that is not finite
+# gives a NaN partial weight or a canonical weight that is not finite.
 _WEIGHT_CONSISTENCY = 1e-6
+_NOT_FINITE = "a detection weight is not finite; R and y_hat must be finite"
 
 # Relative widening of sd_conventional's Fincke-Pohst interval.  The
 # radicand d^2 - w_prefix becomes d^2 * (1 + _FP_WIDEN) - w_prefix, which
@@ -86,14 +88,11 @@ class DetectionResult:
     flops: int
 
 
-# Survivor caps of the reduced decoder's middle symbol layers, keyed by
-# (N, constellation order).  With a cap list of length L, symbols s_{N-1}
-# down to s_{N-L} are enumerated with the per-layer caps applied (best-weight
-# survivors kept, ties broken lexicographically) and the remaining low
-# symbols are estimated by rail quantization.  4x4 keeps the best 8
-# survivors at each of its two middle layers for either modulation; 6x6
-# keeps 16/8/4 (16-QAM) or 32/32/16 (64-QAM) at its three.  N <= 2 has no
-# middle layers and needs no entry.
+# Survivor caps of sd_proposed's middle symbol layers, keyed by (N,
+# constellation order), top layer first: a list of L caps enumerates symbols
+# s_{N-1} down to s_{N-L} and quantizes the rest (s_2 and s_1 at 6x6).  N <= 2
+# needs no entry.  This is the only schedule sd_proposed reads: tests and
+# experiments change it by substituting an entry.
 KBEST_CAPS = {
     (4, 16): (8, 8),
     (4, 64): (8, 8),
@@ -103,7 +102,7 @@ KBEST_CAPS = {
 
 
 def kbest_caps(n, c):
-    """:func:`sd_proposed`'s default caps: the ``KBEST_CAPS`` entry, () at N <= 2."""
+    """:func:`sd_proposed`'s caps: the ``KBEST_CAPS`` entry, () at N <= 2."""
     caps = KBEST_CAPS.get((n, c.order), ())
     if n > 2 and not caps:
         raise ValueError(f"no K-best caps defined for N={n}, {c.order}-QAM")
@@ -120,6 +119,8 @@ def recompute_weight(p: LatticeProblem, x) -> float:
 def _check_weight(accumulated, canonical):
     # An explicit raise, not an assert, so the check also runs under -O.
     if not abs(accumulated - canonical) <= _WEIGHT_CONSISTENCY * (1.0 + canonical):
+        if not math.isfinite(canonical):
+            raise ValueError(_NOT_FINITE)
         raise RuntimeError(
             f"accumulated weight {accumulated!r} disagrees with canonical "
             f"{canonical!r}; R must be upper triangular, with r[k, k+1] = 0 "
@@ -243,7 +244,8 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
                 s += row[k] * xv[k]
             d = yj - s
             w = w_prefix + d * d
-            assert w >= w_prefix  # partial metrics never decrease
+            if not w >= w_prefix:  # partial metrics never decrease
+                raise ValueError(_NOT_FINITE)
             if w < d2:
                 xv[j] = omega
                 radius = d2
@@ -269,8 +271,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     return _result(p, leaf, restarts=restarts, nodes=sum(nodes_at), flops=flops)
 
 
-def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
-                caps=None):
+def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     """Reduced-complexity decoder for the interleaved representation.
 
     Relies on the exact zeros r[l-1, l] (even l) of the interleaved R, which
@@ -281,8 +282,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
 
     1. The top symbol, from the empty prefix and uncapped: every
        (x_{2N}, x_{2N-1}) pair whose summed weight respects the radius survives.
-    2. For N >= 3, each middle symbol, capped at its entry of ``caps``, the
-       best-weight survivors kept.
+    2. For N >= 3, each middle symbol, capped at its entry of
+       ``KBEST_CAPS``, the best-weight survivors kept.
     3. The remaining low symbols are estimated per surviving prefix by rail
        quantization of the interference-cancelled values, accumulating the
        exact leaf weight; leaves inside the sphere compete and the lowest
@@ -298,22 +299,11 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     For N <= 2 the quantization step is exact, so the returned weight equals
     :func:`ml_exhaustive`'s on every input.  Empty survivor sets trigger the
     radius policy's restarts, ending in an unconstrained pass.
-
-    ``caps`` lists one integer survivor cap per middle symbol layer, top
-    layer first, for 1 to N - 2 layers; it defaults to :func:`kbest_caps`.
     """
     if p.representation is not Representation.INTERLEAVED:
         raise ValueError("sd_proposed requires the interleaved representation")
     n = p.n
-    layers = max(n - 2, 0)  # middle symbol layers
-    caps = kbest_caps(n, c) if caps is None else caps
-    if not all(isinstance(cap, (int, np.integer)) and not isinstance(cap, bool)
-               and cap >= 1 for cap in caps):
-        raise ValueError(f"K-best caps {tuple(caps)} must all be integers >= 1")
-    if len(caps) > layers or layers and not caps:
-        raise ValueError(f"N={n} has {layers} middle symbol layers, "
-                         f"got {len(caps)} K-best caps")
-
+    caps = kbest_caps(n, c)
     m = 2 * n
     rows = p.r.tolist()
     yh = p.y_hat.tolist()
@@ -373,7 +363,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
                         break  # so do all pairs of this and every later si
                     for tr, wr in t_re:
                         w = si + tr
-                        assert w >= w_pre
+                        if not w >= w_pre:
+                            raise ValueError(_NOT_FINITE)
                         if w > bound:
                             break
                         nxt.append((w, prefix + (wi, wr)))
@@ -422,7 +413,8 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
                     x_q = quantize_rail(cv / rjj, c)
                     d = cv - rjj * x_q
                     w_new = w + d * d
-                    assert w_new >= w
+                    if not w_new >= w:
+                        raise ValueError(_NOT_FINITE)
                     w = w_new
                     values.append(x_q)
             if w < d2:

@@ -141,10 +141,16 @@ class LatticeProblem:
     representation: Representation
 
     def __post_init__(self):
-        y, r = np.shape(self.y_hat), np.shape(self.r)
-        if len(y) != 1 or not y[0] or y[0] % 2 or r != 2 * y:
+        r, y, rep = self.r, self.y_hat, self.representation
+        if not (isinstance(r, np.ndarray) and isinstance(y, np.ndarray)
+                and r.dtype.kind in "iuf" and y.dtype.kind in "iuf"
+                and isinstance(rep, Representation)):
+            got = ", ".join(str(getattr(a, "dtype", type(a).__name__)) for a in (r, y))
+            raise ValueError(f"expected r and y_hat as integer or float numpy arrays "
+                             f"and a Representation, got {got} and {rep!r}")
+        if y.ndim != 1 or not y.size or y.size % 2 or r.shape != 2 * y.shape:
             raise ValueError(f"expected y_hat of even length 2N > 0 and r of shape "
-                             f"(2N, 2N), got shapes {y} and {r}")
+                             f"(2N, 2N), got shapes {y.shape} and {r.shape}")
 
     @property
     def n(self):

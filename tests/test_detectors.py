@@ -312,7 +312,7 @@ class TestSdProposed:
         assert res.nodes_visited == 8
         assert res.flops == 40
 
-    def test_counter_regression_middle_layer(self):
+    def test_counter_regression_middle_layer(self, monkeypatch):
         # Interleaved N=3, R = I6, one middle layer capped at 2, huge radius,
         # mu = 4.  Everything survives the radius, so the counts follow from
         # the survivor count entering each step.
@@ -332,7 +332,8 @@ class TestSdProposed:
                            y_hat=np.array([0.125, -0.25, 2.5, -2.25, 0.75, -1.5]),
                            representation=Representation.INTERLEAVED)
         c = make_constellation(16)
-        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9), caps=(2,))
+        monkeypatch.setitem(KBEST_CAPS, (3, 16), (2,))
+        res = sd_proposed(p, c, RadiusPolicy(initial_sq=1e9))
         assert np.array_equal(res.x_hat, np.array([1, -1, 3, -3, 1, -1]))
         assert res.weight == 2.453125
         assert res.nodes_visited == 140
@@ -392,30 +393,9 @@ class TestKBestSchedule:
             (6, 64): (32, 32, 16),
         }
 
-    def test_n2_empty(self):
-        c = make_constellation(16)
-        p = self._problem(2)
-        pol = RadiusPolicy.for_noise(1.0, 2)
-        a, b = sd_proposed(p, c, pol), sd_proposed(p, c, pol, caps=())
-        assert np.array_equal(a.x_hat, b.x_hat)
-        assert (a.weight, a.nodes_visited, a.flops) == (b.weight, b.nodes_visited, b.flops)
-        with pytest.raises(ValueError, match="0 middle symbol layers, got 1"):
-            sd_proposed(p, c, pol, caps=(4,))
-
     def test_undefined_combination(self):
         with pytest.raises(ValueError, match="no K-best caps defined for N=3, 16-QAM"):
             sd_proposed(self._problem(3), make_constellation(16), RadiusPolicy.for_noise(1.0, 3))
-
-    def test_invalid_caps_rejected(self):
-        p, c, pol = self._problem(4), make_constellation(16), RadiusPolicy.for_noise(1.0, 4)
-        for caps in ((8, 0), (8.5, 8), ("8", 8), (True, 8)):
-            with pytest.raises(ValueError, match=re.escape(
-                    f"K-best caps {caps} must all be integers >= 1")):
-                sd_proposed(p, c, pol, caps=caps)
-        with pytest.raises(ValueError, match="2 middle symbol layers, got 3"):
-            sd_proposed(p, c, pol, caps=(8, 8, 8))
-        with pytest.raises(ValueError, match="2 middle symbol layers, got 0"):
-            sd_proposed(p, c, pol, caps=())
 
 
 class TestRecomputeWeight:
@@ -476,12 +456,12 @@ class TestRecomputeWeight:
             detector(p, make_constellation(16), RadiusPolicy(initial_sq=1e9))
 
 
-# Raises of the layout, QR, problem-shape, K-best, radius, constellation and
-# stream-key input checks, each run under python -O by
-# test_input_checks_hold_under_optimize.
+# Raises of the layout, QR, problem-type and -shape, non-finite weight,
+# radius, constellation and stream-key input checks, each run under
+# python -O by test_input_checks_hold_under_optimize.
 _CHECK_SETUP = (
     "import numpy as np\n"
-    "from spheredec.detectors import sd_proposed\n"
+    "from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed\n"
     "from spheredec.lattice import (LatticeProblem, RadiusPolicy, Representation,\n"
     "                               build_problem, gram_schmidt_qr, real_form,\n"
     "                               to_pair_order)\n"
@@ -491,20 +471,26 @@ _CHECK_SETUP = (
     "policy = RadiusPolicy.for_noise(1.0, 4)\n"
     "problem = build_problem(np.eye(4, dtype=complex), np.ones(4, dtype=complex),\n"
     "                        Representation.INTERLEAVED)\n"
+    "nan_y = np.array([0.5, np.nan])\n"
 )
 _CHECKED_CALLS = (
     "gram_schmidt_qr(np.array([[1.0, 1.0], [0.0, 1.0]]), pair_zeros=True)",
     "gram_schmidt_qr(np.array([[1 + 5j, 0], [0, 1]]))",
     "to_pair_order(np.zeros((2, 2)), Representation.STACKED)",
     "to_pair_order(np.arange(3), Representation.INTERLEAVED)",
-    "sd_proposed(problem, c, policy, caps=(8.5, 8))",
-    "sd_proposed(problem, c, policy, caps=(True, 8))",
     "real_form(np.zeros((0, 0)), Representation.STACKED)",
     "gram_schmidt_qr(np.zeros((0, 0)), pair_zeros=True)",
     "build_problem(np.zeros((0, 0)), np.zeros(0), Representation.INTERLEAVED)",
     "LatticeProblem(np.eye(3), np.ones(4), Representation.STACKED)",
     "LatticeProblem(np.eye(4), np.ones((2, 2)), Representation.STACKED)",
     "LatticeProblem(np.eye(3), np.ones(3), Representation.INTERLEAVED)",
+    "LatticeProblem([[1.0, 0.0], [0.0, 1.0]], np.ones(2), Representation.STACKED)",
+    "LatticeProblem(np.eye(2), [0.5, 0.5], Representation.STACKED)",
+    "LatticeProblem(np.eye(2), np.ones(2, dtype=complex), Representation.STACKED)",
+    "LatticeProblem(np.eye(2), np.ones(2), 'interleaved')",
+    "ml_exhaustive(LatticeProblem(np.eye(2), nan_y, Representation.STACKED), c)",
+    "sd_conventional(LatticeProblem(np.eye(2), nan_y, Representation.STACKED), c, policy)",
+    "sd_proposed(LatticeProblem(np.eye(2), nan_y, Representation.INTERLEAVED), c, policy)",
     "RadiusPolicy(initial_sq='a')",
     "RadiusPolicy(initial_sq=None)",
     "make_constellation([16])",
@@ -539,6 +525,9 @@ def test_input_checks_hold_under_optimize():
             eval(call, namespace)
         expected.append(str(exc.value))
     assert proc.stdout.splitlines() == expected
+    # a NaN y_hat reads the same in every detector
+    assert {msg for call, msg in zip(_CHECKED_CALLS, expected) if "nan_y" in call} == {
+        "a detection weight is not finite; R and y_hat must be finite"}
 
 
 @pytest.mark.parametrize("initial_sq, restarts", [(1.0, 0), (1e-9, 21)])

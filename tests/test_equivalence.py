@@ -6,8 +6,9 @@ tie-heavy problems.
 restarts and same tallies.  ``sd_conventional`` must equal the ML oracle.
 The generated problems have dyadic entries, so every weight is computed
 exactly and equal weights are real ties; that exercises the
-``(weight, prefix)`` tie-break at the K-best cap boundary and runs the
-hot-loop monotonicity asserts on inputs no channel draw produces.
+``(weight, prefix)`` tie-break at the K-best cap boundary, under cap
+schedules substituted into ``KBEST_CAPS``, and runs the hot-loop
+partial-weight checks on inputs no channel draw produces.
 
 ``sd_conventional`` must also equal the full-evaluation reference in
 ``reference_sd_conventional`` exactly.  Its dyadic problems are general
@@ -20,13 +21,14 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed
+from spheredec.detectors import KBEST_CAPS, ml_exhaustive, sd_conventional, sd_proposed
 from spheredec.lattice import LatticeProblem, RadiusPolicy, Representation, build_problem
 from spheredec.modem import make_constellation
 from spheredec.sim import SimConfig, draw_instance, sigma_for_snr, trial_rng
@@ -117,8 +119,10 @@ class TestProposedMatchesReference:
         p, c, policy = case
         caps = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=p.n - 2)
                          if p.n >= 3 else st.just([]))
-        assert_same_result(sd_proposed(p, c, policy, caps),
-                           reference_sd_proposed.sd_proposed(p, c, policy, caps))
+        # both decoders read the schedule from the one table
+        with mock.patch.dict(KBEST_CAPS, {(p.n, c.order): tuple(caps)}):
+            assert_same_result(sd_proposed(p, c, policy),
+                               reference_sd_proposed.sd_proposed(p, c, policy))
 
 
 class TestConventionalMatchesMl:
