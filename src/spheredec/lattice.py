@@ -99,7 +99,8 @@ class RadiusPolicy:
 
     def first_leaf(self, search):
         """Run the pass ``search(d2)`` at each radius of :meth:`radii` until
-        one returns a leaf (not ``None``); return ``(attempt, leaf)``."""
+        one returns a leaf (not ``None``); return ``(attempt, leaf)``.  The
+        raise cannot occur for a valid :class:`LatticeProblem` at 2N <= 154."""
         for attempt, d2 in self.radii():
             leaf = search(d2)
             if leaf is not None:
@@ -127,13 +128,14 @@ class QrFactors:
 class LatticeProblem:
     """QR-reduced detection problem min ||y_hat - R x||^2 over the rail set.
 
-    ``r`` is 2N x 2N upper triangular with positive diagonal and ``y_hat``
-    the rotated receive vector.  For the interleaved representation
-    r[k, k+1] == 0.0 exactly for even 0-based k.  The QR + rotation cost is
-    :func:`preprocessing_flops` of 2N, the same for every problem of a
-    size.  The search radius is not part of the problem: each tree
-    detector takes its :class:`RadiusPolicy`.  ``n`` is N, read from
-    ``y_hat``, so the problem cannot disagree with its own arrays.
+    ``r`` is 2N x 2N upper triangular and ``y_hat`` the rotated receive
+    vector.  Construction raises one ``ValueError`` unless, as in every QR
+    output, each entry of both is finite and below ``MAX_ENTRY`` in magnitude
+    and each diagonal entry of ``r`` is above ``RANK_TOL``; search weights then
+    stay below 2N (1 + 7 * 2N)^2 * 1e300, finite at 2N <= 154.  In the
+    interleaved representation r[k, k+1] == 0.0 for even 0-based k.  The QR +
+    rotation cost is :func:`preprocessing_flops` of 2N.  Each tree detector
+    takes its own :class:`RadiusPolicy`.  ``n`` is N, read from ``y_hat``.
     """
 
     r: np.ndarray
@@ -151,6 +153,10 @@ class LatticeProblem:
         if y.ndim != 1 or not y.size or y.size % 2 or r.shape != 2 * y.shape:
             raise ValueError(f"expected y_hat of even length 2N > 0 and r of shape "
                              f"(2N, 2N), got shapes {y.shape} and {r.shape}")
+        if not (np.abs(r).max() < MAX_ENTRY and np.abs(y).max() < MAX_ENTRY
+                and r.diagonal().min() > RANK_TOL):  # each test is False at NaN
+            raise ValueError(f"expected r and y_hat finite and below {MAX_ENTRY:g} in "
+                             f"magnitude, and r's diagonal above {RANK_TOL:g}")
 
     @property
     def n(self):

@@ -74,7 +74,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
 
     x_hat = np.array([int(v) for v in best_x], dtype=int)
     weight = recompute_weight(p, x_hat)
-    _check_weight(best_w, weight)
+    _check_weight(p, x_hat, best_w, weight)
     return DetectionResult(
         x_hat=x_hat,
         weight=weight,

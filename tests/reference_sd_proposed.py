@@ -168,7 +168,7 @@ def sd_proposed(p: LatticeProblem, c: Constellation, policy: RadiusPolicy,
     # detection-order tuple -> symbol index order
     x_hat = np.array([int(values[m - 1 - j]) for j in range(m)], dtype=int)
     weight = recompute_weight(p, x_hat)
-    _check_weight(w_acc, weight)
+    _check_weight(p, x_hat, w_acc, weight)
     return DetectionResult(
         x_hat=x_hat,
         weight=weight,

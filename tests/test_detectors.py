@@ -12,6 +12,7 @@ import pytest
 from spheredec.detectors import (
     DetectionResult,
     KBEST_CAPS,
+    _check_weight,
     ml_exhaustive,
     recompute_weight,
     sd_conventional,
@@ -433,11 +434,23 @@ class TestRecomputeWeight:
 
     def test_inconsistent_weight_raises_under_optimize(self):
         # python -O strips asserts; the once-per-detection check must not be one
-        code = "from spheredec.detectors import _check_weight; _check_weight(1.0, 2.0)"
+        code = ("import numpy as np\n"
+                "from spheredec.detectors import _check_weight\n"
+                "from spheredec.lattice import LatticeProblem, Representation\n"
+                "p = LatticeProblem(np.eye(2), np.zeros(2), Representation.STACKED)\n"
+                "_check_weight(p, np.zeros(2), 1.0, 2.0)")
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode != 0
         assert "disagrees with canonical" in proc.stderr
+
+    def test_weight_check_allows_for_the_rounding_of_the_terms(self):
+        # terms of 2e149 per row: a canonical weight of 1e270 is their rounding
+        # near an exact fit, 1e290 is not
+        p = LatticeProblem(1e149 * np.eye(2), np.full(2, 1e149), Representation.STACKED)
+        _check_weight(p, np.ones(2), 0.0, 1e270)
+        with pytest.raises(RuntimeError, match="disagrees with canonical"):
+            _check_weight(p, np.ones(2), 0.0, 1e290)
 
     @pytest.mark.parametrize("rep, entry", [(Representation.STACKED, (1, 0)),
                                             (Representation.INTERLEAVED, (0, 1))])
@@ -456,9 +469,9 @@ class TestRecomputeWeight:
             detector(p, make_constellation(16), RadiusPolicy(initial_sq=1e9))
 
 
-# Raises of the layout, QR, problem-type and -shape, non-finite weight,
-# radius, constellation and stream-key input checks, each run under
-# python -O by test_input_checks_hold_under_optimize.
+# Raises of the layout, QR, problem-type, -shape and -value, radius,
+# constellation and stream-key input checks, each run under python -O by
+# test_input_checks_hold_under_optimize.
 _CHECK_SETUP = (
     "import numpy as np\n"
     "from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed\n"
@@ -472,7 +485,30 @@ _CHECK_SETUP = (
     "problem = build_problem(np.eye(4, dtype=complex), np.ones(4, dtype=complex),\n"
     "                        Representation.INTERLEAVED)\n"
     "nan_y = np.array([0.5, np.nan])\n"
+    "half = np.full(4, 0.5)\n"
+    "inf_r = np.eye(4)\n"
+    "inf_r[0, 3] = np.inf\n"
 )
+# (r, y_hat) arguments that break LatticeProblem's value rule: NaN, +-inf,
+# magnitudes at or above 1e150, and a diagonal entry at or below 1e-12
+_BAD_VALUES = (
+    "np.eye(2), nan_y",
+    "np.eye(4), np.array([0.5, np.inf, 0.5, 0.5])",
+    "np.eye(4), np.array([0.5, 0.5, 0.5, -np.inf])",
+    "inf_r, half",
+    "np.eye(4), np.array([0.5, 0.5, 1e200, 0.5])",
+    "1e160 * np.eye(4), half",
+    "-np.eye(4), half",
+    "np.diag([1.0, 1.0, 0.0, 1.0]), half",
+    "np.diag([1.0, 1.0, 1.0, 1e-300]), half",
+)
+_DETECTOR_CALLS = (
+    "ml_exhaustive(LatticeProblem({}, Representation.STACKED), c)",
+    "sd_conventional(LatticeProblem({}, Representation.STACKED), c, policy)",
+    "sd_proposed(LatticeProblem({}, Representation.INTERLEAVED), c, policy)",
+)
+_VALUE_RULE_CALLS = tuple(call.format(args) for args in _BAD_VALUES
+                          for call in _DETECTOR_CALLS)
 _CHECKED_CALLS = (
     "gram_schmidt_qr(np.array([[1.0, 1.0], [0.0, 1.0]]), pair_zeros=True)",
     "gram_schmidt_qr(np.array([[1 + 5j, 0], [0, 1]]))",
@@ -488,9 +524,7 @@ _CHECKED_CALLS = (
     "LatticeProblem(np.eye(2), [0.5, 0.5], Representation.STACKED)",
     "LatticeProblem(np.eye(2), np.ones(2, dtype=complex), Representation.STACKED)",
     "LatticeProblem(np.eye(2), np.ones(2), 'interleaved')",
-    "ml_exhaustive(LatticeProblem(np.eye(2), nan_y, Representation.STACKED), c)",
-    "sd_conventional(LatticeProblem(np.eye(2), nan_y, Representation.STACKED), c, policy)",
-    "sd_proposed(LatticeProblem(np.eye(2), nan_y, Representation.INTERLEAVED), c, policy)",
+    *_VALUE_RULE_CALLS,
     "RadiusPolicy(initial_sq='a')",
     "RadiusPolicy(initial_sq=None)",
     "make_constellation([16])",
@@ -525,9 +559,11 @@ def test_input_checks_hold_under_optimize():
             eval(call, namespace)
         expected.append(str(exc.value))
     assert proc.stdout.splitlines() == expected
-    # a NaN y_hat reads the same in every detector
-    assert {msg for call, msg in zip(_CHECKED_CALLS, expected) if "nan_y" in call} == {
-        "a detection weight is not finite; R and y_hat must be finite"}
+    # every break of the value rule reads the same in every detector
+    assert {msg for call, msg in zip(_CHECKED_CALLS, expected)
+            if call in _VALUE_RULE_CALLS} == {
+        "expected r and y_hat finite and below 1e+150 in magnitude, and r's "
+        "diagonal above 1e-12"}
 
 
 @pytest.mark.parametrize("initial_sq, restarts", [(1.0, 0), (1e-9, 21)])

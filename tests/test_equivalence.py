@@ -7,8 +7,8 @@ restarts and same tallies.  ``sd_conventional`` must equal the ML oracle.
 The generated problems have dyadic entries, so every weight is computed
 exactly and equal weights are real ties; that exercises the
 ``(weight, prefix)`` tie-break at the K-best cap boundary, under cap
-schedules substituted into ``KBEST_CAPS``, and runs the hot-loop
-partial-weight checks on inputs no channel draw produces.
+schedules substituted into ``KBEST_CAPS``, on valid problems no channel
+draw produces.
 
 ``sd_conventional`` must also equal the full-evaluation reference in
 ``reference_sd_conventional`` exactly.  Its dyadic problems are general

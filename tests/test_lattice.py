@@ -1,12 +1,16 @@
 """Tests for the stacked/interleaved lattice forms and problem assembly."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 
+from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed
 from spheredec.lattice import (
+    MAX_ENTRY,
     MAX_RESTARTS,
+    RANK_TOL,
     DegenerateChannelError,
     LatticeProblem,
     RadiusPolicy,
@@ -277,3 +281,55 @@ class TestBuildProblem:
     def test_bad_sigma(self):
         with pytest.raises(ValueError, match="initial_sq"):
             RadiusPolicy.for_noise(0.0, 2)
+
+
+class TestProblemRule:
+    MESSAGE = ("expected r and y_hat finite and below 1e+150 in magnitude, and r's "
+               "diagonal above 1e-12")
+
+    @pytest.mark.parametrize("rep", list(Representation))
+    def test_values_just_inside_the_bounds_construct(self, rep):
+        big = np.nextafter(MAX_ENTRY, 0)
+        r = np.diag([1.0, big, 1.0, np.nextafter(RANK_TOL, 1)])
+        r[0, 3] = -big
+        LatticeProblem(r, np.array([big, -big, 0.0, 1.0]), rep)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((0, 3), MAX_ENTRY), ((0, 3), -MAX_ENTRY), ((1, 1), MAX_ENTRY),
+        ((3, 3), RANK_TOL), ((3, 3), -RANK_TOL), ((0, 2), np.nan)])
+    def test_r_at_a_bound_rejected(self, entry, value):
+        r = np.eye(4)
+        r[entry] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            LatticeProblem(r, np.ones(4), Representation.STACKED)
+
+    @pytest.mark.parametrize("value", [MAX_ENTRY, -MAX_ENTRY, np.nan])
+    def test_y_hat_at_a_bound_rejected(self, value):
+        y = np.ones(4)
+        y[2] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(self.MESSAGE)}$"):
+            LatticeProblem(np.eye(4), y, Representation.INTERLEAVED)
+
+    def test_weights_stay_finite_near_max_entry(self):
+        # R's upper triangle is 1e149 and y_hat is -1e149, the worst signs for
+        # the weights: the all -7 dive of sd_conventional's unconstrained pass
+        # and ml's all +7 candidate are near the 2N (1 + 7 * 2N)^2 * 1e298
+        # bound.  Any overflow would be a numpy warning (an error here), a
+        # weight that is not finite, or a failed weight check.  sd_proposed's
+        # leaf fits y_hat exactly, so its canonical weight is the rounding of
+        # terms near 1e150, which the weight check must allow for.
+        c = make_constellation(64)
+
+        def problem(m, rep):
+            r = np.triu(np.full((m, m), 1e149))
+            if rep is Representation.INTERLEAVED:
+                r[range(0, m, 2), range(1, m, 2)] = 0.0
+            return LatticeProblem(r, np.full(m, -1e149), rep)
+
+        policy = RadiusPolicy(initial_sq=1.0)
+        results = [sd_conventional(problem(12, Representation.STACKED), c, policy),
+                   sd_proposed(problem(12, Representation.INTERLEAVED), c, policy),
+                   ml_exhaustive(problem(4, Representation.STACKED), c)]
+        assert all(math.isfinite(res.weight) for res in results)
+        assert results[0].restarts == MAX_RESTARTS + 1  # the unconstrained pass ran
+        assert 0.0 < results[1].weight < 1e-20 * 1e298
