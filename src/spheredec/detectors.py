@@ -15,7 +15,8 @@ on how many prefixes survive into each layer, while its code skips the
 pairs and prefixes that provably cannot change the result.
 :func:`sd_conventional` charges all mu candidates of every expanded node,
 each with its interference sum recomputed in full, while its search
-evaluates only the rails inside the node's widened Fincke-Pohst interval.
+computes one interference sum per node and scores from it only the rails
+inside the node's widened Fincke-Pohst interval.
 QR preprocessing is not counted here: its cost is the closed form
 :func:`~spheredec.lattice.preprocessing_flops`, the same for every trial of
 a configuration.  Each detection call keeps its own tallies, so identical
@@ -63,7 +64,8 @@ _WEIGHT_CONSISTENCY = 1e-6
 # covers the rounding of the float radius test w_prefix + d*d < d^2, and
 # each end moves out by _FP_WIDEN times the level's scale
 # (|y_hat_l| + max|rail| * sum_k |r_{l,k}|) / r_{l,l}, which bounds the
-# rounding of the center and of a candidate's sum (about 1e-15 of that
+# rounding of a node's b = y_hat_l - sum_{k>l} r_{l,k} x_k, of its center
+# b / r_{l,l} and of a candidate's b - r_{l,l} * omega (about 1e-15 of that
 # scale at 2N <= 12).  Rails are 2 apart, so the widening costs nothing.
 _FP_WIDEN = 1e-6
 
@@ -192,10 +194,11 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     leaf shrinks the squared radius to its weight.  The tallies charge all
     mu candidates of every expanded node, each with its interference sum
     recomputed in full, as the algorithm is specified.  The search itself
-    evaluates, in the same ascending order, only the rails inside the
-    node's Fincke-Pohst interval, center (y_hat_l - sum_{k>l} r_{l,k} x_k)
-    / r_{l,l} and half-width sqrt(d^2 - w_prefix) / r_{l,l}, widened to
-    cover rounding (see ``_FP_WIDEN``); the upper end follows the shrinking
+    computes one interference sum per node, b = y_hat_l - sum_{k>l} r_{l,k}
+    x_k, and scores |b - r_{l,l} omega|^2, in the same ascending order, for
+    only the rails omega inside the node's Fincke-Pohst interval: center
+    b / r_{l,l}, half-width sqrt(d^2 - w_prefix) / r_{l,l}, widened to cover
+    rounding (see ``_FP_WIDEN``), its upper end following the shrinking
     radius.  The rails left out all fail the radius test, so the leaves,
     radii, result and tallies are those of evaluating every rail.  Returns
     the same weight as :func:`ml_exhaustive` on every input.
@@ -210,8 +213,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     mu = c.mu
     top = mu - 1  # rail value v has index (v + top) / 2
     # Per level: 1 / r_jj, and how far each end of the interval moves out,
-    # in rail units, to cover the rounding of the center and of the
-    # candidates' own sums.
+    # in rail units, to cover rounding (see _FP_WIDEN).
     inv = [1.0 / row[j] for j, row in enumerate(rows)]
     slack = [_FP_WIDEN * (abs(y) + top * sum(map(abs, row))) * v
              for y, row, v in zip(yh, rows, inv)]
@@ -224,13 +226,13 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     def dfs(j, w_prefix):
         nonlocal d2, best_x
         row = rows[j]
-        yj = yh[j]
         nodes_at[j] += mu  # every rail, as specified
-        e = 0.0
+        b = yh[j]  # the node's one interference sum
         for k in range(j + 1, m):
-            e += row[k] * xv[k]
+            b -= row[k] * xv[k]
+        rjj = row[j]
         # center and ends in rail-index units; d2 = inf keeps every rail
-        center = (yj - e) * inv[j] + top
+        center = b * inv[j] + top
         half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
         lo = 0.5 * (center - half)
         i = ceil(lo) if lo > 0.0 else 0
@@ -239,10 +241,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
         while i <= hi:
             omega = rail[i]
             i += 1
-            s = row[j] * omega
-            for k in range(j + 1, m):
-                s += row[k] * xv[k]
-            d = yj - s
+            d = b - rjj * omega
             w = w_prefix + d * d
             if w < d2:
                 xv[j] = omega

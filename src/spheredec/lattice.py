@@ -304,7 +304,8 @@ def build_problem(h, y, representation):
     Propagates :class:`DegenerateChannelError` for rank-deficient draws so
     the caller can redraw the channel, and raises ``ValueError`` for a
     received vector that is not a length-N vector, or a channel or
-    received vector that is not finite or not below ``MAX_ENTRY``.
+    received vector that is not finite or not below ``MAX_ENTRY``, or whose
+    QR reduction is not (up to sqrt(2N) times the largest input entry).
     """
     h_real = real_form(h, representation)
     n = len(h_real) // 2
@@ -320,4 +321,8 @@ def build_problem(h, y, representation):
     pair_zeros = representation is Representation.INTERLEAVED
     factors = gram_schmidt_qr(h_real, pair_zeros=pair_zeros)
     y_hat = factors.q.T @ y_real
-    return LatticeProblem(r=factors.r, y_hat=y_hat, representation=representation)
+    try:
+        return LatticeProblem(r=factors.r, y_hat=y_hat, representation=representation)
+    except ValueError:  # a QR output breaks only LatticeProblem's magnitude rule
+        raise ValueError(f"channel or received vector too large: its QR reduction has "
+                         f"an entry not below {MAX_ENTRY:g}") from None

@@ -11,10 +11,15 @@ schedules substituted into ``KBEST_CAPS``, on valid problems no channel
 draw produces.
 
 ``sd_conventional`` must also equal the full-evaluation reference in
-``reference_sd_conventional`` exactly.  Its dyadic problems are general
-upper-triangular ones, where weights tie exactly with the radius and node
-centers fall exactly on a rail or midway between two, which are the cases
-the widened Fincke–Pohst interval must get right.
+``reference_sd_conventional`` exactly.  The reference evaluates every rail
+and recomputes each candidate's interference sum from r_{l,l} * omega
+onwards, while the detector sums once per node and scores each rail as
+b - r_{l,l} * omega.  Their partial weights may differ in the last bits,
+but decisions, reported weights, restarts and tallies must match
+exactly.  Its dyadic problems are general upper-triangular ones, where
+weights tie exactly with the radius and node centers fall exactly on a
+rail or midway between two, which are the cases the widened Fincke–Pohst
+interval must get right; there both expressions are computed exactly.
 """
 
 import subprocess

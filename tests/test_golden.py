@@ -1,9 +1,11 @@
 """Golden gate: small seeded sweeps must render byte-identical CSVs.
 
 The files under ``tests/golden/`` pin the exact records of a few cheap
-sweeps covering every detector, N in {2, 4, 6} and both modulations.  A
-change that moves any RNG stream, detection or count breaks them; such a
-change regenerates them on purpose with
+sweeps covering every detector, N in {2, 4, 6} and both modulations, and
+``perfbench/reference/dfs-6x6-64-par.csv`` pins the benchmark's depth-first
+workload, which this module reads and never writes.  A change that moves
+any RNG stream, detection or count breaks them; such a change regenerates
+the files under ``tests/golden/`` on purpose with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -16,6 +18,7 @@ from spheredec.cli import render_csv
 from spheredec.sim import SimConfig, run_sweep
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DFS_REFERENCE = GOLDEN_DIR.parents[1] / "perfbench" / "reference" / "dfs-6x6-64-par.csv"
 
 CASES = {
     "2x2-16qam": SimConfig(n_antennas=2, mod_order=16,
@@ -46,6 +49,16 @@ CASES = {
 def test_golden_csv(name, workers):
     expected = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="ascii")
     assert render_csv(run_sweep(CASES[name], workers=workers)) == expected
+
+
+def test_dfs_6x6_64_par_reference_csv():
+    # the benchmark's depth-first workload, in-process and on one worker: 1,500
+    # sd-conv detections at a 6x6 64-QAM size that the cases above barely reach
+    cfg = SimConfig(n_antennas=6, mod_order=64, detectors=("sd-conv", "sd-new"),
+                    snr_start_db=20.0, snr_stop_db=22.0, snr_step_db=1.0,
+                    trials_per_point=500, seed=42)
+    expected = DFS_REFERENCE.read_text(encoding="ascii")
+    assert render_csv(run_sweep(cfg, workers=1)) == expected
 
 
 if __name__ == "__main__":

@@ -278,6 +278,15 @@ class TestBuildProblem:
             with pytest.raises(ValueError, match="not finite"):
                 build_problem(h_bad, y, rep)
 
+    def test_input_whose_reduction_is_too_large_rejected(self):
+        # every entry passes the input checks, but R's diagonal is sqrt(2) * 9e149
+        h = 9e149 * np.array([[1, -1], [1, 1]], dtype=complex)
+        message = ("channel or received vector too large: its QR reduction has an "
+                   "entry not below 1e+150")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            build_problem(h, np.ones(2), Representation.STACKED)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_bad_sigma(self):
         with pytest.raises(ValueError, match="initial_sq"):
             RadiusPolicy.for_noise(0.0, 2)
