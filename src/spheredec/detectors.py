@@ -15,8 +15,9 @@ on how many prefixes survive into each layer, while its code skips the
 pairs and prefixes that provably cannot change the result.
 :func:`sd_conventional` charges all mu candidates of every expanded node,
 each with its interference sum recomputed in full, while its search
-computes one interference sum per node and scores from it only the rails
-inside the node's widened Fincke-Pohst interval.
+computes one interference sum per node and scores from it the rails from
+the node's widened Fincke-Pohst lower end upwards, stopping at the first
+failing rail past the center.
 QR preprocessing is not counted here: its cost is the closed form
 :func:`~spheredec.lattice.preprocessing_flops`, the same for every trial of
 a configuration.  Each detection call keeps its own tallies, so identical
@@ -59,14 +60,15 @@ ML_CANDIDATE_GUARD = 4**8
 # canonical recomputation of the same leaf.
 _WEIGHT_CONSISTENCY = 1e-6
 
-# Relative widening of sd_conventional's Fincke-Pohst interval.  The
-# radicand d^2 - w_prefix becomes d^2 * (1 + _FP_WIDEN) - w_prefix, which
-# covers the rounding of the float radius test w_prefix + d*d < d^2, and
-# each end moves out by _FP_WIDEN times the level's scale
-# (|y_hat_l| + max|rail| * sum_k |r_{l,k}|) / r_{l,l}, which bounds the
-# rounding of a node's b = y_hat_l - sum_{k>l} r_{l,k} x_k, of its center
-# b / r_{l,l} and of a candidate's b - r_{l,l} * omega (about 1e-15 of that
-# scale at 2N <= 12).  Rails are 2 apart, so the widening costs nothing.
+# Relative widening of the lower end of sd_conventional's Fincke-Pohst
+# interval.  The radicand d^2 - w_prefix becomes d^2 * (1 + _FP_WIDEN) -
+# w_prefix, which covers the rounding of the float radius test
+# w_prefix + d*d < d^2, and the end moves down by _FP_WIDEN times the
+# level's scale (|y_hat_l| + max|rail| * sum_k |r_{l,k}|) / r_{l,l}, which
+# bounds the rounding of a node's b = y_hat_l - sum_{k>l} r_{l,k} x_k, of
+# its center b / r_{l,l} and of a candidate's b - r_{l,l} * omega (about
+# 1e-15 of that scale at 2N <= 12).  Rails are 2 apart, so the widening
+# costs nothing.
 _FP_WIDEN = 1e-6
 
 
@@ -195,13 +197,15 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     mu candidates of every expanded node, each with its interference sum
     recomputed in full, as the algorithm is specified.  The search itself
     computes one interference sum per node, b = y_hat_l - sum_{k>l} r_{l,k}
-    x_k, and scores |b - r_{l,l} omega|^2, in the same ascending order, for
-    only the rails omega inside the node's Fincke-Pohst interval: center
-    b / r_{l,l}, half-width sqrt(d^2 - w_prefix) / r_{l,l}, widened to cover
-    rounding (see ``_FP_WIDEN``), its upper end following the shrinking
-    radius.  The rails left out all fail the radius test, so the leaves,
-    radii, result and tallies are those of evaluating every rail.  Returns
-    the same weight as :func:`ml_exhaustive` on every input.
+    x_k, and scores |b - r_{l,l} omega|^2, in the same ascending order,
+    from the lower end of the node's Fincke-Pohst interval, (b - sqrt(d^2 -
+    w_prefix)) / r_{l,l} widened to cover rounding (see ``_FP_WIDEN``).  It
+    stops at the first rail past the center (b - r_{l,l} omega < 0) that
+    fails the radius test: that difference only falls as omega grows, so
+    every later rail weighs at least as much, and a failed rail leaves the
+    radius as it is.  The rails left out all fail the radius test, so the
+    leaves, radii, result and tallies are those of evaluating every rail.
+    Returns the same weight as :func:`ml_exhaustive` on every input.
     """
     if p.representation is not Representation.STACKED:
         raise ValueError("sd_conventional requires the stacked representation")
@@ -212,13 +216,13 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     rail = c.rail
     mu = c.mu
     top = mu - 1  # rail value v has index (v + top) / 2
-    # Per level: 1 / r_jj, and how far each end of the interval moves out,
+    # Per level: 1 / r_jj, and how far the interval's lower end moves down,
     # in rail units, to cover rounding (see _FP_WIDEN).
     inv = [1.0 / row[j] for j, row in enumerate(rows)]
     slack = [_FP_WIDEN * (abs(y) + top * sum(map(abs, row))) * v
              for y, row, v in zip(yh, rows, inv)]
     widen = 1.0 + _FP_WIDEN
-    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
+    sqrt, ceil = math.sqrt, math.ceil
     xv = [0.0] * m
     nodes_at = [0] * m  # node visits per level index, for the flop tally
     d2 = best_x = None  # the pass's squared radius, its best leaf so far
@@ -231,29 +235,22 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
         for k in range(j + 1, m):
             b -= row[k] * xv[k]
         rjj = row[j]
-        # center and ends in rail-index units; d2 = inf keeps every rail
+        # the lower end in rail-index units; d2 = inf keeps every rail
         center = b * inv[j] + top
         half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
         lo = 0.5 * (center - half)
-        i = ceil(lo) if lo > 0.0 else 0
-        hi = 0.5 * (center + half)
-        hi = floor(hi) if hi < top else top
-        while i <= hi:
-            omega = rail[i]
-            i += 1
+        for omega in rail[ceil(lo) if lo > 0.0 else 0:]:
             d = b - rjj * omega
             w = w_prefix + d * d
             if w < d2:
                 xv[j] = omega
-                radius = d2
                 if j:
                     dfs(j - 1, w)
                 else:
                     d2 = w
                     best_x = xv.copy()
-                if d2 < radius:  # the radius shrank: pull in the upper end
-                    half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
-                    hi = min(hi, floor(0.5 * (center + half)))
+            elif d < 0.0:  # past the center d only falls, so w only grows
+                break
 
     def search(radius_sq):
         nonlocal d2, best_x

@@ -79,15 +79,26 @@ class RadiusPolicy:
 
     def __post_init__(self):
         v = self.initial_sq
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0:
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool)
+        try:  # stored as a float, so that every pass's d^2 is one
+            f = float(v) if real else math.nan
+        except OverflowError:  # an int or a fraction beyond the float range
+            f = math.nan
+        if not f > 0:
             raise ValueError(f"initial_sq must be a positive number, got {v!r}")
+        object.__setattr__(self, "initial_sq", f)
 
     @classmethod
     def for_noise(cls, sigma_sq, n, dimension="2n"):
         if dimension not in ("n", "2n"):
             raise ValueError(f"radius_dimension {dimension!r} is not 'n' or '2n'")
         dim = 2 * n if dimension == "2n" else n
-        return cls(initial_sq=2.0 * sigma_sq * dim)
+        try:
+            initial_sq = 2.0 * sigma_sq * dim
+        except OverflowError:  # a product beyond the float range
+            raise ValueError(f"initial_sq must be a positive number, got "
+                             f"2.0 * {sigma_sq!r} * {dim!r}") from None
+        return cls(initial_sq=initial_sq)
 
     def radii(self):
         """Yield ``(attempt, d2)`` for each search pass: the initial squared

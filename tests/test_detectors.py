@@ -214,11 +214,13 @@ class TestSdConventional:
         # R = I2, y_hat = 0, d^2 = 4, rail (-3,-1,1,3).  Every node center is
         # 0.  Top: x=-1 and x=1 weigh 1, x=+-3 weigh 9.  Below x_top=-1 the
         # half-width is sqrt(3): x=-1 is a leaf at weight 2, which shrinks
-        # d^2 to 2, and the upper end sqrt(2 - 1) = 1 lands exactly on x=1,
-        # whose weight 2 == d^2 is pruned by the strict test.  Below
-        # x_top=1 both ends land on x=-1 and x=1, both pruned the same way.
-        # Three expanded nodes, each charged all 4 rails: 4 top + 8 bottom
-        # nodes, adds and mults 4*2 + 8*3 = 32 each, 64 FLOPs.
+        # d^2 to 2, and x=1, the first failing rail past the center, weighs
+        # 2 == d^2, is pruned by the strict test and stops the scan.  Below
+        # x_top=1 the scan starts at the lower end, x=-1, which weighs 2 and
+        # fails left of the center, so the scan goes on; x=1 fails the same
+        # way past the center and stops it.  Three expanded nodes, each
+        # charged all 4 rails: 4 top + 8 bottom nodes, adds and mults
+        # 4*2 + 8*3 = 32 each, 64 FLOPs.
         p = LatticeProblem(r=np.eye(2), y_hat=np.zeros(2),
                            representation=Representation.STACKED)
         c = make_constellation(16)
@@ -527,6 +529,8 @@ _CHECKED_CALLS = (
     *_VALUE_RULE_CALLS,
     "RadiusPolicy(initial_sq='a')",
     "RadiusPolicy(initial_sq=None)",
+    "RadiusPolicy(initial_sq=10**400)",
+    "RadiusPolicy.for_noise(1.0, 10**400)",
     "make_constellation([16])",
     "trial_rng(-1, 0, 0)",
     "trial_rng(2**128, 0, 0)",

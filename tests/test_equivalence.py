@@ -19,9 +19,16 @@ but decisions, reported weights, restarts and tallies must match
 exactly.  Its dyadic problems are general upper-triangular ones, where
 weights tie exactly with the radius and node centers fall exactly on a
 rail or midway between two, which are the cases the widened Fincke–Pohst
-interval must get right; there both expressions are computed exactly.
+lower end must get right; there both expressions are computed exactly.
+A center on a rail gives that rail d = b - r_{l,l} * omega == 0, which
+does not stop the scan: only a failing rail with d < 0, past the center,
+stops it, and a failing rail left of the center (d > 0) never does.
+Under an infinite initial radius the lower ends of the first dive are
+-inf, every rail it scores passes and the stop cannot fire until a leaf
+makes the radius finite.
 """
 
+import math
 import subprocess
 import sys
 import textwrap
@@ -172,6 +179,26 @@ class TestConventionalMatchesReference:
         p, c, policy = case
         assert_same_result(sd_conventional(p, c, policy),
                            reference_sd_conventional.sd_conventional(p, c, policy))
+
+
+@pytest.mark.parametrize("order", [16, 64])
+@pytest.mark.parametrize("n", [2, 4])
+def test_infinite_radius_needs_no_restart(n, order):
+    c = make_constellation(order)
+    policy = RadiusPolicy(initial_sq=math.inf)
+    for representation, detect, reference in (
+            (Representation.STACKED, sd_conventional,
+             reference_sd_conventional.sd_conventional),
+            (Representation.INTERLEAVED, sd_proposed, reference_sd_proposed.sd_proposed)):
+        for p, _ in seeded_problems(n, order, _SNR_DB[order][0], "2n", trials=10,
+                                    policy=policy, representation=representation):
+            res = detect(p, c, policy)
+            assert res.restarts == 0
+            assert_same_result(res, reference(p, c, policy))
+            if n == 2:
+                ml = ml_exhaustive(p, c)
+                assert np.array_equal(res.x_hat, ml.x_hat)
+                assert res.weight == ml.weight
 
 
 def test_a_failing_property_test_leaves_the_run_going(tmp_path):

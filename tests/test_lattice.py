@@ -140,12 +140,19 @@ class TestRadiusPolicy:
         assert pol.initial_sq == 2.0
 
     def test_invariants(self):
-        for bad in (0.0, -1.0, float("nan"), "a", None, True):
+        # 10**400 and 2**1030 are beyond the float range of every pass's d^2
+        for bad in (0.0, -1.0, float("nan"), "a", None, True, 10**400, 2**1030):
             with pytest.raises(ValueError, match=re.escape(
                     f"initial_sq must be a positive number, got {bad!r}")):
                 RadiusPolicy(initial_sq=bad)
+        for sigma_sq, n in ((1.0, 10**400), (10**400, 1)):
+            with pytest.raises(ValueError, match="^initial_sq must be a positive number"):
+                RadiusPolicy.for_noise(sigma_sq, n)
         with pytest.raises(ValueError):
             RadiusPolicy.for_noise(1.0, 2, dimension="3n")
+        # accepted values are stored as floats; an infinite radius is valid
+        assert type(RadiusPolicy(initial_sq=3).initial_sq) is float
+        assert RadiusPolicy.for_noise(1e308, 10**300).initial_sq == math.inf
 
     def test_radii_grow_then_unconstrained(self):
         # the fixed schedule of the counting convention: 21 doublings, then inf
