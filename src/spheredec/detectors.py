@@ -16,8 +16,7 @@ pairs and prefixes that provably cannot change the result.
 :func:`sd_conventional` charges all mu candidates of every expanded node,
 each with its interference sum recomputed in full, while its search
 computes one interference sum per node and scores from it the rails from
-the node's widened Fincke-Pohst lower end upwards, stopping at the first
-failing rail past the center.
+the lowest upwards, stopping at the first failing rail past the center.
 QR preprocessing is not counted here: its cost is the closed form
 :func:`~spheredec.lattice.preprocessing_flops`, the same for every trial of
 a configuration.  Each detection call keeps its own tallies, so identical
@@ -59,17 +58,6 @@ ML_CANDIDATE_GUARD = 4**8
 # Relative agreement required between a search's accumulated weight and the
 # canonical recomputation of the same leaf.
 _WEIGHT_CONSISTENCY = 1e-6
-
-# Relative widening of the lower end of sd_conventional's Fincke-Pohst
-# interval.  The radicand d^2 - w_prefix becomes d^2 * (1 + _FP_WIDEN) -
-# w_prefix, which covers the rounding of the float radius test
-# w_prefix + d*d < d^2, and the end moves down by _FP_WIDEN times the
-# level's scale (|y_hat_l| + max|rail| * sum_k |r_{l,k}|) / r_{l,l}, which
-# bounds the rounding of a node's b = y_hat_l - sum_{k>l} r_{l,k} x_k, of
-# its center b / r_{l,l} and of a candidate's b - r_{l,l} * omega (about
-# 1e-15 of that scale at 2N <= 12).  Rails are 2 apart, so the widening
-# costs nothing.
-_FP_WIDEN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,9 +132,11 @@ def _result(p, leaf, *, restarts, nodes, flops):
 
 def ml_candidate_count(n, c):
     """Candidates :func:`ml_exhaustive` scans at N = ``n``; raises above the guard."""
-    total = c.mu ** (2 * n)
+    # mu >= 2, so mu^(2N) exceeds the guard once 2N reaches the guard's bit
+    # length; only a smaller 2N forms the power
+    total = c.mu ** (2 * n) if 2 * n < ML_CANDIDATE_GUARD.bit_length() else math.inf
     if total > ML_CANDIDATE_GUARD:
-        raise ValueError(f"detector 'ml' needs {c.mu}^{2 * n} = {total} candidates, "
+        raise ValueError(f"detector 'ml' needs mu^(2N) = {c.mu}^{2 * n} candidates, "
                          f"above the {ML_CANDIDATE_GUARD} guard; drop detector 'ml' "
                          "or reduce the antennas or QAM order")
     return total
@@ -197,14 +187,13 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     mu candidates of every expanded node, each with its interference sum
     recomputed in full, as the algorithm is specified.  The search itself
     computes one interference sum per node, b = y_hat_l - sum_{k>l} r_{l,k}
-    x_k, and scores |b - r_{l,l} omega|^2, in the same ascending order,
-    from the lower end of the node's Fincke-Pohst interval, (b - sqrt(d^2 -
-    w_prefix)) / r_{l,l} widened to cover rounding (see ``_FP_WIDEN``).  It
-    stops at the first rail past the center (b - r_{l,l} omega < 0) that
-    fails the radius test: that difference only falls as omega grows, so
-    every later rail weighs at least as much, and a failed rail leaves the
-    radius as it is.  The rails left out all fail the radius test, so the
-    leaves, radii, result and tallies are those of evaluating every rail.
+    x_k, and scores |b - r_{l,l} omega|^2 from the lowest rail upwards, in
+    the same ascending order.  It stops at the first rail past the center
+    (b - r_{l,l} omega < 0) that fails the radius test: that difference only
+    falls as omega grows, so every later rail weighs at least as much, and
+    a failed rail leaves the radius as it is.  The rails left out all fail
+    the radius test, so the leaves, radii, result and tallies are those of
+    evaluating every rail.
     Returns the same weight as :func:`ml_exhaustive` on every input.
     """
     if p.representation is not Representation.STACKED:
@@ -215,14 +204,6 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
     yh = p.y_hat.tolist()
     rail = c.rail
     mu = c.mu
-    top = mu - 1  # rail value v has index (v + top) / 2
-    # Per level: 1 / r_jj, and how far the interval's lower end moves down,
-    # in rail units, to cover rounding (see _FP_WIDEN).
-    inv = [1.0 / row[j] for j, row in enumerate(rows)]
-    slack = [_FP_WIDEN * (abs(y) + top * sum(map(abs, row))) * v
-             for y, row, v in zip(yh, rows, inv)]
-    widen = 1.0 + _FP_WIDEN
-    sqrt, ceil = math.sqrt, math.ceil
     xv = [0.0] * m
     nodes_at = [0] * m  # node visits per level index, for the flop tally
     d2 = best_x = None  # the pass's squared radius, its best leaf so far
@@ -235,11 +216,7 @@ def sd_conventional(p: LatticeProblem, c: Constellation, policy: RadiusPolicy):
         for k in range(j + 1, m):
             b -= row[k] * xv[k]
         rjj = row[j]
-        # the lower end in rail-index units; d2 = inf keeps every rail
-        center = b * inv[j] + top
-        half = sqrt(d2 * widen - w_prefix) * inv[j] + slack[j]
-        lo = 0.5 * (center - half)
-        for omega in rail[ceil(lo) if lo > 0.0 else 0:]:
+        for omega in rail:
             d = b - rjj * omega
             w = w_prefix + d * d
             if w < d2:

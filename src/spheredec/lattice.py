@@ -47,6 +47,16 @@ PAIR_ZERO_TOL = 1e-9
 MAX_ENTRY = 1e150
 
 
+def _shown(value):
+    """``repr(value)`` for a check's message, or a stand-in where Python
+    refuses to convert an int of more than ``sys.get_int_max_str_digits()``
+    digits, which would replace the message with its own."""
+    try:
+        return repr(value)
+    except ValueError:
+        return "a number too long to print"
+
+
 class DegenerateChannelError(Exception):
     """Input matrix is numerically rank deficient; caller should redraw."""
 
@@ -85,7 +95,7 @@ class RadiusPolicy:
         except OverflowError:  # an int or a fraction beyond the float range
             f = math.nan
         if not f > 0:
-            raise ValueError(f"initial_sq must be a positive number, got {v!r}")
+            raise ValueError(f"initial_sq must be a positive number, got {_shown(v)}")
         object.__setattr__(self, "initial_sq", f)
 
     @classmethod
@@ -97,7 +107,7 @@ class RadiusPolicy:
             initial_sq = 2.0 * sigma_sq * dim
         except OverflowError:  # a product beyond the float range
             raise ValueError(f"initial_sq must be a positive number, got "
-                             f"2.0 * {sigma_sq!r} * {dim!r}") from None
+                             f"2.0 * {_shown(sigma_sq)} * {_shown(dim)}") from None
         return cls(initial_sq=initial_sq)
 
     def radii(self):

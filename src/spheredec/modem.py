@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lattice import _shown
+
 _RAILS = {
     16: (-3, -1, 1, 3),
     64: (-7, -5, -3, -1, 1, 3, 5, 7),
@@ -72,7 +74,7 @@ def make_constellation(order):
     try:
         return _CONSTELLATIONS[order]
     except (KeyError, TypeError):  # TypeError: an unhashable order
-        raise ValueError(f"unsupported QAM order {order!r}; choose 16 or 64") from None
+        raise ValueError(f"unsupported QAM order {_shown(order)}; choose 16 or 64") from None
 
 
 def bits_to_symbols(bits, c, n_antennas):

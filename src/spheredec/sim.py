@@ -39,6 +39,7 @@ from .lattice import (
     DegenerateChannelError,
     RadiusPolicy,
     Representation,
+    _shown,
     build_problem,
     preprocessing_flops,
     to_pair_order,
@@ -207,7 +208,7 @@ def _word(name, value, bits):
     """``value`` as an int in [0, 2**bits), or a one-line ValueError."""
     value = _as_int(name, value)
     if not 0 <= value < 1 << bits:
-        raise ValueError(f"{name} must be in [0, 2**{bits}), got {value!r}")
+        raise ValueError(f"{name} must be in [0, 2**{bits}), got {_shown(value)}")
     return value
 
 
@@ -219,7 +220,7 @@ def _as_int(name, value):
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {_shown(value)}")
 
 
 @functools.cache
@@ -358,7 +359,7 @@ def check_workers(workers):
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+        raise ValueError(f"workers must be an integer >= 1, got {_shown(workers)}")
     return value
 
 

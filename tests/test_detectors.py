@@ -212,15 +212,15 @@ class TestSdConventional:
 
     def test_interval_end_on_rail_tie_is_pruned(self):
         # R = I2, y_hat = 0, d^2 = 4, rail (-3,-1,1,3).  Every node center is
-        # 0.  Top: x=-1 and x=1 weigh 1, x=+-3 weigh 9.  Below x_top=-1 the
-        # half-width is sqrt(3): x=-1 is a leaf at weight 2, which shrinks
-        # d^2 to 2, and x=1, the first failing rail past the center, weighs
-        # 2 == d^2, is pruned by the strict test and stops the scan.  Below
-        # x_top=1 the scan starts at the lower end, x=-1, which weighs 2 and
-        # fails left of the center, so the scan goes on; x=1 fails the same
-        # way past the center and stops it.  Three expanded nodes, each
-        # charged all 4 rails: 4 top + 8 bottom nodes, adds and mults
-        # 4*2 + 8*3 = 32 each, 64 FLOPs.
+        # 0.  Top: x=-1 and x=1 weigh 1, x=+-3 weigh 9.  Below x_top=-1,
+        # x=-3 weighs 10 and fails left of the center, so the scan goes on;
+        # x=-1 is a leaf at weight 2, which shrinks d^2 to 2, and x=1, the
+        # first failing rail past the center, weighs 2 == d^2, is pruned by
+        # the strict test and stops the scan.  Below x_top=1 the scan starts
+        # at x=-3; it and x=-1, which weighs 2, fail left of the center, so
+        # the scan goes on; x=1 fails the same way past the center and stops
+        # it.  Three expanded nodes, each charged all 4 rails: 4 top + 8
+        # bottom nodes, adds and mults 4*2 + 8*3 = 32 each, 64 FLOPs.
         p = LatticeProblem(r=np.eye(2), y_hat=np.zeros(2),
                            representation=Representation.STACKED)
         c = make_constellation(16)
@@ -472,8 +472,8 @@ class TestRecomputeWeight:
 
 
 # Raises of the layout, QR, problem-type, -shape and -value, radius,
-# constellation and stream-key input checks, each run under python -O by
-# test_input_checks_hold_under_optimize.
+# constellation, stream-key, sweep-config and worker-count input checks, each
+# run under python -O by test_input_checks_hold_under_optimize.
 _CHECK_SETUP = (
     "import numpy as np\n"
     "from spheredec.detectors import ml_exhaustive, sd_conventional, sd_proposed\n"
@@ -481,7 +481,7 @@ _CHECK_SETUP = (
     "                               build_problem, gram_schmidt_qr, real_form,\n"
     "                               to_pair_order)\n"
     "from spheredec.modem import make_constellation\n"
-    "from spheredec.sim import trial_rng\n"
+    "from spheredec.sim import SimConfig, check_workers, trial_rng\n"
     "c = make_constellation(16)\n"
     "policy = RadiusPolicy.for_noise(1.0, 4)\n"
     "problem = build_problem(np.eye(4, dtype=complex), np.ones(4, dtype=complex),\n"
@@ -511,6 +511,22 @@ _DETECTOR_CALLS = (
 )
 _VALUE_RULE_CALLS = tuple(call.format(args) for args in _BAD_VALUES
                           for call in _DETECTOR_CALLS)
+# Calls holding an int too long for Python to convert to a string, each with
+# the start of the message that must name its field in place of Python's own
+# "Exceeds the limit (4300 digits)" error.
+_HUGE_INT_CALLS = {
+    "RadiusPolicy(initial_sq=10**5000)": "initial_sq must be a positive number, got ",
+    "RadiusPolicy.for_noise(1.0, 10**5000)": "initial_sq must be a positive number, got ",
+    "RadiusPolicy.for_noise(10**5000, 1)": "initial_sq must be a positive number, got ",
+    "SimConfig(seed=10**5000)": "seed must be in [0, 2**128), got ",
+    "SimConfig(trials_per_point=10**5000)": "trial_index must be in [0, 2**64), got ",
+    "trial_rng(0, 10**5000, 0)": "snr_index must be in [0, 2**64), got ",
+    "SimConfig(mod_order=10**5000)": "unsupported QAM order ",
+    "check_workers(-10**5000)": "workers must be an integer >= 1, got ",
+    "SimConfig(n_antennas=5000)":
+        "detector 'ml' needs mu^(2N) = 4^10000 candidates, above the 65536 guard;",
+    "SimConfig(n_antennas=10**7)": "detector 'ml' needs mu^(2N) = 4^20000000 candidates",
+}
 _CHECKED_CALLS = (
     "gram_schmidt_qr(np.array([[1.0, 1.0], [0.0, 1.0]]), pair_zeros=True)",
     "gram_schmidt_qr(np.array([[1 + 5j, 0], [0, 1]]))",
@@ -541,6 +557,7 @@ _CHECKED_CALLS = (
     "trial_rng('5', 0, 0)",
     "trial_rng(0, 3.0, 0)",
     "trial_rng(0, 0, False)",
+    *_HUGE_INT_CALLS,
 )
 
 
@@ -568,6 +585,8 @@ def test_input_checks_hold_under_optimize():
             if call in _VALUE_RULE_CALLS} == {
         "expected r and y_hat finite and below 1e+150 in magnitude, and r's "
         "diagonal above 1e-12"}
+    for call, start in _HUGE_INT_CALLS.items():
+        assert expected[_CHECKED_CALLS.index(call)].startswith(start), call
 
 
 @pytest.mark.parametrize("initial_sq, restarts", [(1.0, 0), (1e-9, 21)])

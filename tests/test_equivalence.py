@@ -18,14 +18,11 @@ b - r_{l,l} * omega.  Their partial weights may differ in the last bits,
 but decisions, reported weights, restarts and tallies must match
 exactly.  Its dyadic problems are general upper-triangular ones, where
 weights tie exactly with the radius and node centers fall exactly on a
-rail or midway between two, which are the cases the widened Fincke–Pohst
-lower end must get right; there both expressions are computed exactly.
-A center on a rail gives that rail d = b - r_{l,l} * omega == 0, which
-does not stop the scan: only a failing rail with d < 0, past the center,
-stops it, and a failing rail left of the center (d > 0) never does.
-Under an infinite initial radius the lower ends of the first dive are
--inf, every rail it scores passes and the stop cannot fire until a leaf
-makes the radius finite.
+rail or midway between two, which are the cases the stop past the center
+must get right; there both expressions are computed exactly.  A center on
+a rail gives that rail d = b - r_{l,l} * omega == 0, which does not stop
+the scan: only a failing rail with d < 0, past the center, stops it, and
+a failing rail left of the center (d > 0) never does.
 """
 
 import math
